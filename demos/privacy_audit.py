@@ -23,12 +23,13 @@ warnings.filterwarnings("ignore", category=CollusionBoundWarning)
 
 instances = default_instances()
 
-for instance in instances[:2]:  # the third (390,625 runs) is left to the test suite
+for instance in instances:
     start = time.perf_counter()
     dist = enumerate_views(instance)
     result = check_conditional_independence(dist)
     print(f"{instance.label}: {result.to_json()['verdict']}"
-          f" ({instance.enumeration_size} runs, {time.perf_counter() - start:.2f}s)")
+          f" ({instance.enumeration_size} assignments in {len(dist.views)} runs,"
+          f" {time.perf_counter() - start:.2f}s)")
 
 print()
 print("negative control: same colluder instance, noise zeroed")

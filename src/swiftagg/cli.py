@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConfigError, IndivisibleNError, SwiftAggError, TooLargeError
-from .field import FieldSpec, ModelVector, vec_add
+from .field import MAX_MODULUS, FieldSpec, ModelVector, vec_add
 from .protocol import ProtocolParams
 from .privacy_oracle import run_privacy_suite
 from .sharing import derive_subseed, uniform_element
@@ -96,6 +96,13 @@ def _as_int(field_name: str, raw) -> int:
         raise ConfigError(f"{field_name}: expected an integer, got {raw!r}") from None
 
 
+def _as_float(field_name: str, raw) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{field_name}: expected a number, got {raw!r}") from None
+
+
 def _as_id_list(field_name: str, raw) -> tuple:
     if raw is None:
         return ()
@@ -143,7 +150,7 @@ def build_run_config(args) -> RunConfig:
     out_format = str(pick("format", DEFAULTS["format"]))
     drop = _as_id_list("drop", pick("drop"))
     raw_rate = pick("drop_rate", DEFAULTS["drop_rate"])
-    drop_rate = None if raw_rate in (None, "") else float(raw_rate)
+    drop_rate = None if raw_rate in (None, "") else _as_float("drop_rate", raw_rate)
     adversary = _as_id_list("adversary", pick("adversary"))
     server_curious = _as_bool(
         "server_curious", pick("server_curious", DEFAULTS["server_curious"])
@@ -184,6 +191,8 @@ def build_run_config(args) -> RunConfig:
     for uid in adversary:
         if not 1 <= uid <= n:
             raise ConfigError(f"adversary: user id {uid} outside [1, {n}]")
+    if len(set(adversary)) != len(adversary):
+        raise ConfigError("adversary: duplicate user ids")
 
     return RunConfig(
         n=n,
@@ -318,13 +327,15 @@ def run_table(t: int, d: int, model_len: int, out=None) -> int:
 
 
 def _smallest_prime_above(bound: int) -> int:
-    candidate = bound + 1
-    while True:
+    for candidate in range(bound + 1, MAX_MODULUS):
         try:
             FieldSpec(candidate)
             return candidate
         except ValueError:
-            candidate += 1
+            continue
+    raise ConfigError(
+        f"t: no prime modulus below 2**32 exceeds the group size t+d+1={bound}"
+    )
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:

@@ -3,23 +3,30 @@
 These checks decide, by exact integer counting rather than estimation,
 whether an adversary's view tells it anything about honest models beyond
 their aggregate.  For every assignment of honest models and every assignment
-of all noise vectors, the full protocol is executed and the adversary view
-recorded; two conditional distributions count as equal only if they match
+of all noise vectors, the adversary view of the real protocol is recorded;
+two conditional distributions count as equal only if they match
 view-for-view and count-for-count, which for finite exact distributions is
 the same statement as zero mutual information.
+
+Every protocol step acts coordinate by coordinate, so the noise assignments
+are batched into vector coordinates: one run per honest-model assignment
+carries all noise assignments at once, and its view is counted column by
+column.
 
 The oracle also houses the derived noise quantities used by the chain and
 hiding checks: the accumulated sequence noise ``ztilde(gamma, t)`` (the
 noise component of a running sequence sum) and per-user share noise, which
 exist only as proof devices and have no role in the protocol itself.
 
-Instance sizes are guarded: enumeration is p**(#honest models + N*T) runs,
-rejected above 10**9.
+Instance sizes are guarded: enumeration covers p**(#honest models + N*T)
+assignments, rejected above 10**9.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional
@@ -28,6 +35,7 @@ from .errors import TooLargeError
 from .field import FieldSpec, ModelVector
 from .protocol import (
     BEFORE_SHARING,
+    CollusionBoundWarning,
     GroupPosition,
     ProtocolParams,
     assign_groups,
@@ -66,7 +74,7 @@ class TinyInstance:
                 raise ValueError(f"fixed models given for non-colluders {sorted(extra)}")
         if self.enumeration_size > ENUMERATION_GUARD:
             raise TooLargeError(
-                f"enumeration would take {self.enumeration_size} protocol runs "
+                f"enumeration would cover {self.enumeration_size} assignments "
                 f"(guard: {ENUMERATION_GUARD})"
             )
 
@@ -155,19 +163,45 @@ class CheckResult:
 
 
 def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDistribution:
-    """Run the protocol for every (honest models, all noise) assignment.
+    """Count the adversary view for every (honest models, all noise) assignment.
 
-    ``zero_noise`` replaces the noise enumeration with the single all-zero
-    assignment; it exists as a negative control and must break privacy for
-    any adversary that sees unaggregated material.
+    One protocol run per honest-model assignment carries every noise
+    assignment: coordinate ``k`` of the noise vectors holds the ``k``-th
+    tuple of ``itertools.product(range(p), repeat=N*T)`` and each model is a
+    constant vector, so column ``k`` of the view is exactly the canonical
+    view of a scalar run on that assignment.  ``zero_noise`` replaces the
+    noise enumeration with the single all-zero assignment; it exists as a
+    negative control and must break privacy for any adversary that sees
+    unaggregated material.
     """
     params = instance.params
-    p = params.field.p
+    spec = params.field
+    p = spec.p
     honest = instance.honest
     positions = assign_groups(params)
     timings = dict(instance.plan.timings)
-    vec = [ModelVector._raw(params.field, (v,)) for v in range(p)]
-    noise_slots = [(uid, j) for uid in range(1, params.n + 1) for j in range(params.t)]
+
+    slots = instance.noise_symbol_count
+    if zero_noise:
+        assignments = [(0,) * slots]
+    else:
+        assignments = list(itertools.product(range(p), repeat=slots))
+    width = len(assignments)
+    # Slot (uid, j) is entry (uid - 1) * T + j of every noise assignment.
+    slot_columns = list(zip(*assignments))
+    noise = {
+        uid: tuple(
+            ModelVector._raw(spec, slot_columns[(uid - 1) * params.t + j])
+            for j in range(params.t)
+        )
+        for uid in range(1, params.n + 1)
+    }
+    with warnings.catch_warnings():
+        # The instance itself already warned about t = 1.
+        warnings.simplefilter("ignore", CollusionBoundWarning)
+        wide = dataclasses.replace(params, model_len=width)
+    const = [ModelVector._raw(spec, (v,) * width) for v in range(p)]
+    singles = [(v,) for v in range(p)]
 
     # Contributing honest users: everyone whose shares entered the run.
     contributing = [
@@ -175,32 +209,45 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     ]
     honest_index = {uid: i for i, uid in enumerate(honest)}
 
-    base_models = [vec[instance.fixed_model_of(uid)] for uid in range(1, params.n + 1)]
+    base_models = [const[instance.fixed_model_of(uid)] for uid in range(1, params.n + 1)]
 
-    if zero_noise:
-        noise_assignments = [(0,) * len(noise_slots)]
-    else:
-        noise_assignments = itertools.product(range(p), repeat=len(noise_slots))
-        noise_assignments = list(noise_assignments)
+    # Colluder models and noise do not depend on the honest models, so the
+    # colluder-inputs part of every column's key is built once.
+    own_parts = [
+        [
+            (uid, singles[instance.fixed_model_of(uid)], zs)
+            for zs in zip(*(map(singles.__getitem__, z.values) for z in noise[uid]))
+        ]
+        for uid in sorted(instance.adversary.colluders)
+    ]
+    own = list(zip(*own_parts)) if own_parts else [()] * width
 
     dist = ViewDistribution(instance, honest)
     for w in itertools.product(range(p), repeat=len(honest)):
         models = list(base_models)
         for uid, value in zip(honest, w):
-            models[uid - 1] = vec[value]
+            models[uid - 1] = const[value]
         aggregate = sum(w[honest_index[uid]] for uid in contributing) % p
 
-        counter: Counter = Counter()
-        for zs in noise_assignments:
-            noise = {uid: [] for uid in range(1, params.n + 1)}
-            for (uid, _), value in zip(noise_slots, zs):
-                noise[uid].append(vec[value])
-            run = execute_protocol(params, models, noise, timings, positions)
-            view = collect_adversary_view(run.log, instance.adversary, models, noise, positions)
-            counter[view.canonical()] += 1
-        dist.views[w] = counter
+        run = execute_protocol(wide, models, noise, timings, positions)
+        view = collect_adversary_view(run.log, instance.adversary, models, noise, positions)
+        received = _payload_columns(view.received, width, singles)
+        uploads = _payload_columns(view.uploads, width, singles)
+        dist.views[w] = Counter(zip(own, received, uploads))
         dist.aggregate_of[w] = aggregate
     return dist
+
+
+def _payload_columns(messages, width: int, singles: list):
+    """Per-coordinate payload tuples, as ``AdversaryView.canonical`` forms them."""
+    if not messages:
+        return itertools.repeat((), width)
+    return zip(*(
+        itertools.repeat(None, width)
+        if m.payload is None
+        else map(singles.__getitem__, m.payload.values)
+        for m in messages
+    ))
 
 
 def check_conditional_independence(dist: ViewDistribution) -> CheckResult:

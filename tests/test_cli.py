@@ -133,6 +133,24 @@ def test_config_file_bad_line(tmp_path, capsys):
     assert "config:" in err
 
 
+def test_config_file_bad_drop_rate(tmp_path, capsys):
+    path = tmp_path / "rate.cfg"
+    path.write_text("n=6\nt=1\nd=1\ndrop_rate=abc\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "drop_rate:" in err
+
+
+def test_duplicate_adversary_ids_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--n", "6", "--t", "2", "--d", "0", "--adversary", "3", "3"
+    )
+    assert code == 2
+    assert out == ""
+    assert "adversary: duplicate" in err
+
+
 def test_shuffle_and_adversary_flags_still_recover(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--n", "12", "--t", "2", "--d", "1",
@@ -165,3 +183,14 @@ def test_table_subcommand(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert rows[-1] == {"approach": "SwiftAgg", "server_comm": 30, "per_user_comm": 40}
+
+
+def test_table_without_a_prime_field_is_config_error(capsys):
+    # no prime below 2**32 exceeds t+d+1 = 4294967291, the largest such prime
+    code, out, err = run_cli(capsys, "table", "--t", "4294967290", "--d", "0")
+    assert code == 2
+    assert out == ""
+    assert "t:" in err
+    code, _, err = run_cli(capsys, "table", "--t", "1", "--d", str(1 << 40))
+    assert code == 2
+    assert "t:" in err

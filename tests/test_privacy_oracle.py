@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from swiftagg.errors import TooLargeError
-from swiftagg.field import FieldSpec
+from swiftagg.field import FieldSpec, ModelVector
 from swiftagg.privacy_oracle import (
     TinyInstance,
     check_conditional_independence,
@@ -17,8 +17,16 @@ from swiftagg.privacy_oracle import (
     enumerate_views,
     run_privacy_suite,
 )
-from swiftagg.protocol import CollusionBoundWarning, ProtocolParams
-from swiftagg.simnet import AdversaryConfig, DropoutPlan
+from swiftagg.protocol import (
+    AFTER_SHARING,
+    BEFORE_SHARING,
+    MID_SEQUENCE,
+    CollusionBoundWarning,
+    ProtocolParams,
+    assign_groups,
+    execute_protocol,
+)
+from swiftagg.simnet import AdversaryConfig, DropoutPlan, collect_adversary_view
 
 
 def make_params(n, t, d, length=1, p=5):
@@ -55,7 +63,7 @@ def test_instance_bounds_enforced():
 
 
 def test_enumeration_guard_rejects_large_instances():
-    # 7**(6 + 12) protocol runs is far beyond the guard
+    # 7**(6 + 12) assignments is far beyond the guard
     with pytest.raises(TooLargeError):
         tiny(6, 2, 0, 7, AdversaryConfig.server_only())
 
@@ -101,6 +109,67 @@ def test_enumeration_respects_fixed_colluder_models():
         assert result.independent, result.to_json()
 
 
+def reference_views(instance, zero_noise=False):
+    """One scalar protocol run per (honest models, noise) assignment."""
+    params, p, honest = instance.params, instance.params.field.p, instance.honest
+    positions = assign_groups(params)
+    vec = [ModelVector._raw(params.field, (v,)) for v in range(p)]
+    slots = instance.noise_symbol_count
+    noise_assignments = (
+        [(0,) * slots] if zero_noise else list(itertools.product(range(p), repeat=slots))
+    )
+    views, aggregate_of = {}, {}
+    for w in itertools.product(range(p), repeat=len(honest)):
+        models = [vec[instance.fixed_model_of(uid)] for uid in range(1, params.n + 1)]
+        for uid, value in zip(honest, w):
+            models[uid - 1] = vec[value]
+        counter = Counter()
+        for zs in noise_assignments:
+            noise = {
+                uid: [vec[v] for v in zs[(uid - 1) * params.t:uid * params.t]]
+                for uid in range(1, params.n + 1)
+            }
+            run = execute_protocol(params, models, noise, instance.plan.timings, positions)
+            view = collect_adversary_view(run.log, instance.adversary, models, noise, positions)
+            counter[view.canonical()] += 1
+        views[w] = counter
+        aggregate_of[w] = sum(
+            value for uid, value in zip(honest, w)
+            if instance.plan.timings.get(uid) != BEFORE_SHARING
+        ) % p
+    return views, aggregate_of
+
+
+def differential_instances():
+    yield from default_instances()[:2]
+    colluder = AdversaryConfig.of([1], server_curious=True)
+    no_server = AdversaryConfig.of([3], server_curious=False)
+    # The server-only case has three honest users (15,625 reference runs),
+    # so it is paired with one timing only.
+    cases = [(colluder, timing) for timing in (BEFORE_SHARING, AFTER_SHARING, MID_SEQUENCE)]
+    cases += [(no_server, timing) for timing in (BEFORE_SHARING, AFTER_SHARING, MID_SEQUENCE)]
+    cases.append((AdversaryConfig.server_only(), MID_SEQUENCE))
+    for adversary, timing in cases:
+        yield TinyInstance(
+            make_params(3, 1, 1),
+            DropoutPlan({2: timing}),
+            adversary,
+            colluder_models={uid: 3 for uid in adversary.colluders},
+            label=f"n3_t1_d1_p5_{timing}",
+        )
+
+
+def test_batched_enumeration_matches_per_assignment_runs():
+    for instance in differential_instances():
+        for zero_noise in (False, True):
+            dist = enumerate_views(instance, zero_noise=zero_noise)
+            views, aggregate_of = reference_views(instance, zero_noise=zero_noise)
+            case = (instance.label, instance.adversary, zero_noise)
+            assert dist.views == views, case
+            assert list(dist.views) == list(views), case
+            assert dist.aggregate_of == aggregate_of, case
+
+
 # ---------------------------------------------------------------------------
 # Conditional independence
 # ---------------------------------------------------------------------------
@@ -124,6 +193,19 @@ def test_dropout_instance_is_independent():
     )
     dist = enumerate_views(instance)
     assert check_conditional_independence(dist).independent
+
+
+def test_t2_colluder_and_server_is_independent():
+    # inside the paper's range 2 <= t < n - d: 5**(2 honest + 6 noise) assignments
+    adversary = AdversaryConfig.of([2], server_curious=True)
+    instance = tiny(3, 2, 0, 5, adversary, label="n3_t2_d0_p5_colluder2")
+    result = check_conditional_independence(enumerate_views(instance))
+    assert result.independent, result.to_json()
+
+    control = check_conditional_independence(enumerate_views(instance, zero_noise=True))
+    assert not control.independent
+    assert control.witness is not None
+    assert control.witness.assignment_a != control.witness.assignment_b
 
 
 def test_no_noise_with_colluder_is_witnessed():
