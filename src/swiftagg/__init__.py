@@ -36,6 +36,7 @@ from .field import (
     lagrange_interpolate_at_zero,
     poly_eval,
     vec_add,
+    vec_sum,
 )
 from .privacy_oracle import (
     TinyInstance,

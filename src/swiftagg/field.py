@@ -8,6 +8,8 @@ construction.
 
 from __future__ import annotations
 
+import struct
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -19,9 +21,37 @@ from .errors import (
     ZeroEvaluationPointError,
 )
 
-# Primality is checked by trial division, which stays cheap below this bound.
-# 2**31 - 1 (the largest modulus used in the test matrix) is well inside it.
+# Moduli stay below 2**32 so that a product of two field elements plus one
+# more element fits a 64-bit lane of the vector engine below.
 MAX_MODULUS = 1 << 32
+
+# Miller-Rabin with these bases is exact for every n < 4,759,123,141, which
+# covers every modulus below MAX_MODULUS.
+_MR_BASES = (2, 7, 61)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for 0 <= n < 4,759,123,141."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _check_prime(p: int) -> None:
@@ -29,15 +59,8 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"modulus must be >= 2, got {p}")
     if p >= MAX_MODULUS:
         raise ValueError(f"modulus must be below 2**32, got {p}")
-    if p in (2, 3):
-        return
-    if p % 2 == 0:
+    if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
-    i = 3
-    while i * i <= p:
-        if p % i == 0:
-            raise ValueError(f"modulus {p} is not prime")
-        i += 2
 
 
 class FieldSpec:
@@ -179,12 +202,91 @@ class ModelVector:
         return f"ModelVector({list(self.values)} mod {self.field.p})"
 
 
+# ---------------------------------------------------------------------------
+# Packed-lane vector engine
+# ---------------------------------------------------------------------------
+#
+# A vector of length L is packed into one Python int of L unsigned 64-bit
+# lanes, entry k in bits [64k, 64k + 64).  Adding packed ints, or multiplying
+# one by a nonnegative scalar, acts lane by lane as long as no lane reaches
+# 2**64, so each linear step of a whole vector is one C-level bigint
+# operation.  Every kernel tracks an exact upper bound on its lanes and
+# reduces before the next step could reach 2**64; because p < 2**32, a
+# reduced operand times a field scalar plus another reduced operand always
+# fits, so one reduction is always enough.
+
+_LANE = 1 << 64
+
+
+@lru_cache(maxsize=64)
+def _codec(length: int) -> struct.Struct:
+    return struct.Struct(f"<{length}Q")
+
+
+def _pack(values) -> int:
+    """Pack ints in [0, 2**64) into lanes of one int."""
+    return int.from_bytes(_codec(len(values)).pack(*values), "little")
+
+
+def _unpack(packed: int, length: int) -> tuple:
+    return _codec(length).unpack(packed.to_bytes(8 * length, "little"))
+
+
+@lru_cache(maxsize=64)
+def _barrett(length: int, p: int) -> tuple:
+    """Masks, multiplier and codec that reduce all lanes below ``2**b`` mod ``p``.
+
+    With ``m = 2**b // p`` and ``v < 2**b``, ``q = v * m >> b`` is
+    ``v // p`` or one less, and ``v * m < 2**64`` keeps the product inside
+    its lane; ``b`` is the largest width for which that holds (32 to 48).
+    """
+    b = 64
+    while ((1 << b) - 1) * ((1 << b) // p) >= _LANE:
+        b -= 1
+    ones = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * length, "little")
+    low_mask = ones * ((1 << (64 - b)) - 1)
+    return b, (1 << b) // p, low_mask, ones * ((1 << 63) - p), ones, _codec(length)
+
+
+def _reduce(packed: int, length: int, p: int, bound: int) -> tuple:
+    """Entries mod ``p`` of lanes that are all at most ``bound`` (< 2**64)."""
+    if bound < p:
+        return _unpack(packed, length)
+    b, m, low_mask, offset, ones, codec = _barrett(length, p)
+    if bound >> b:
+        return tuple(map(p.__rmod__, _unpack(packed, length)))
+    if bound >= 2 * p:
+        # Lane-wise Barrett step: every lane drops below 2p.
+        packed -= ((packed * m >> b) & low_mask) * p
+    # Lanes >= p (bit 63 set after adding 2**63 - p) lose p.
+    packed -= ((packed + offset) >> 63 & ones) * p
+    return codec.unpack(packed.to_bytes(8 * length, "little"))
+
+
+def vec_sum(vectors: Sequence[ModelVector]) -> ModelVector:
+    """Field sum of one or more vectors of one field and length, reduced once."""
+    if not vectors:
+        raise ValueError("need at least one vector to sum")
+    field = vectors[0].field
+    length = len(vectors[0].values)
+    for v in vectors[1:]:
+        _require_same_field(v.field, field)
+        if len(v.values) != length:
+            raise LengthMismatchError(f"lengths {length} and {len(v.values)}")
+    # Fewer than 2**32 operands (all that memory can hold) keep lanes < 2**64.
+    packed = sum([_pack(v.values) for v in vectors])
+    bound = len(vectors) * (field.p - 1)
+    return ModelVector._raw(field, _reduce(packed, length, field.p, bound))
+
+
 def vec_add(a: ModelVector, b: ModelVector) -> ModelVector:
     _require_same_field(a.field, b.field)
-    if len(a.values) != len(b.values):
-        raise LengthMismatchError(f"lengths {len(a.values)} and {len(b.values)}")
+    length = len(a.values)
+    if len(b.values) != length:
+        raise LengthMismatchError(f"lengths {length} and {len(b.values)}")
     p = a.field.p
-    return ModelVector._raw(a.field, tuple((x + y) % p for x, y in zip(a.values, b.values)))
+    packed = _pack(a.values) + _pack(b.values)
+    return ModelVector._raw(a.field, _reduce(packed, length, p, 2 * (p - 1)))
 
 
 class EvalPoint:
@@ -234,19 +336,31 @@ def poly_eval(coeffs: Sequence[ModelVector], x) -> ModelVector:
         _require_same_field(c.field, field)
         if len(c.values) != length:
             raise LengthMismatchError("coefficient vectors differ in length")
+    return _horner(field, [_pack(c.values) for c in coeffs], x, length)
+
+
+def _horner(field: FieldSpec, lanes: Sequence[int], x, length: int) -> ModelVector:
+    """Horner's rule on packed coefficients (lowest degree first, lanes < p) at ``x``."""
     p = field.p
-    xv = _as_abscissa(x, field)
-    acc = coeffs[-1].values
-    for c in reversed(coeffs[:-1]):
-        acc = tuple((a * xv + b) % p for a, b in zip(acc, c.values))
-    return ModelVector._raw(field, acc)
+    top = p - 1
+    x = _as_abscissa(x, field)
+    acc = lanes[-1]
+    bound = top
+    for c in reversed(lanes[:-1]):
+        if bound * x + top >= _LANE:
+            acc = _pack(_reduce(acc, length, p, bound))
+            bound = top
+        acc = acc * x + c
+        bound = bound * x + top
+    return ModelVector._raw(field, _reduce(acc, length, p, bound))
 
 
 def _interpolant_at(points: Sequence[tuple], x: int, field: FieldSpec) -> tuple:
     """Value tuple of the Lagrange interpolant through ``points`` at ``x``."""
     p = field.p
+    top = p - 1
     length = len(points[0][1].values)
-    acc = [0] * length
+    acc = bound = 0
     for i, (alpha_i, y_i) in enumerate(points):
         num = 1
         den = 1
@@ -256,9 +370,12 @@ def _interpolant_at(points: Sequence[tuple], x: int, field: FieldSpec) -> tuple:
             num = num * (x - alpha_j) % p
             den = den * (alpha_i - alpha_j) % p
         w = num * pow(den, -1, p) % p
-        for k, y in enumerate(y_i.values):
-            acc[k] = (acc[k] + w * y) % p
-    return tuple(acc)
+        if bound + w * top >= _LANE:
+            acc = _pack(_reduce(acc, length, p, bound))
+            bound = top
+        acc += w * _pack(y_i.values)
+        bound += w * top
+    return _reduce(acc, length, p, bound)
 
 
 def lagrange_interpolate_at_zero(points, degree_bound: int) -> ModelVector:

@@ -466,29 +466,35 @@ def check_share_hiding(
 
 
 def default_instances() -> list:
-    """The standard tiny instances: lone pair, two groups plus colluder, dropout."""
+    """The standard tiny instances: lone pair, two groups plus colluder, dropout.
+
+    They use t = 1 on purpose (the smallest enumerable instances), so the
+    collusion-range warning meant for user-built parameters is silenced here.
+    """
     f5 = FieldSpec(5)
     f3 = FieldSpec(3)
-    return [
-        TinyInstance(
-            ProtocolParams(2, 1, 0, 1, f5),
-            DropoutPlan.none(),
-            AdversaryConfig.server_only(),
-            label="n2_t1_d0_p5_server_only",
-        ),
-        TinyInstance(
-            ProtocolParams(4, 1, 0, 1, f3),
-            DropoutPlan.none(),
-            AdversaryConfig.of([3], server_curious=True),
-            label="n4_t1_d0_p3_server_plus_colluder",
-        ),
-        TinyInstance(
-            ProtocolParams(4, 1, 2, 1, f5),
-            DropoutPlan.uniform([3]),
-            AdversaryConfig.server_only(),
-            label="n4_t1_d2_p5_server_only_one_dropout",
-        ),
-    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollusionBoundWarning)
+        return [
+            TinyInstance(
+                ProtocolParams(2, 1, 0, 1, f5),
+                DropoutPlan.none(),
+                AdversaryConfig.server_only(),
+                label="n2_t1_d0_p5_server_only",
+            ),
+            TinyInstance(
+                ProtocolParams(4, 1, 0, 1, f3),
+                DropoutPlan.none(),
+                AdversaryConfig.of([3], server_curious=True),
+                label="n4_t1_d0_p3_server_plus_colluder",
+            ),
+            TinyInstance(
+                ProtocolParams(4, 1, 2, 1, f5),
+                DropoutPlan.uniform([3]),
+                AdversaryConfig.server_only(),
+                label="n4_t1_d2_p5_server_only_one_dropout",
+            ),
+        ]
 
 
 def run_privacy_suite(no_noise: bool = False) -> list:

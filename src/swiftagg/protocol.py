@@ -40,7 +40,14 @@ from .errors import (
     TooManyDropoutsError,
     WrongSequenceError,
 )
-from .field import EvalPoint, FieldSpec, ModelVector, lagrange_interpolate_at_zero, vec_add
+from .field import (
+    EvalPoint,
+    FieldSpec,
+    ModelVector,
+    lagrange_interpolate_at_zero,
+    vec_add,
+    vec_sum,
+)
 from .sharing import (
     SharePolynomial,
     build_polynomial,
@@ -312,11 +319,8 @@ class UserState:
             raise PhaseViolationError(
                 f"user {self.position} still waits on shares from t'={missing}"
             )
-        total = self.received_shares[1]
-        for t2 in range(2, group_size + 1):
-            total = vec_add(total, self.received_shares[t2])
-        self.q = total
-        return total
+        self.q = vec_sum([self.received_shares[t2] for t2 in range(1, group_size + 1)])
+        return self.q
 
     def step_sequence(self, incoming, num_groups: int) -> ProtocolMessage:
         """Consume the upstream message (if any) and emit this user's output.
@@ -381,10 +385,6 @@ class ServerState:
         ]
         self.recovered = lagrange_interpolate_at_zero(points, params.t)
         return self.recovered
-
-
-def server_recover(state: ServerState, params: ProtocolParams) -> ModelVector:
-    return state.recover(params)
 
 
 # ---------------------------------------------------------------------------

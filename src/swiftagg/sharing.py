@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import repeat
 from typing import Sequence
 
 from .errors import (
@@ -21,9 +22,10 @@ from .errors import (
 )
 from .field import (
     EvalPoint,
-    FieldElement,
     FieldSpec,
     ModelVector,
+    _horner,
+    _pack,
     lagrange_interpolate_at_zero,
 )
 
@@ -50,22 +52,41 @@ def uniform_element(field: FieldSpec, rng: random.Random) -> int:
 
 
 def sample_noise(field: FieldSpec, count: int, length: int, rng: random.Random):
-    """Draw ``count`` uniform masking vectors of ``length`` entries."""
-    return tuple(
-        ModelVector._raw(field, tuple(uniform_element(field, rng) for _ in range(length)))
-        for _ in range(count)
-    )
+    """Draw ``count`` uniform masking vectors of ``length`` entries.
+
+    The draws are exactly those of calling ``uniform_element`` once per
+    entry: each vector takes ``length`` draws at once, and if any is
+    rejected, the accepted ones keep their stream order and the vector is
+    topped up from the stream.
+    """
+    p = field.p
+    bits = p.bit_length()
+    draw = rng.getrandbits
+    out = []
+    for _ in range(count):
+        values = tuple(map(draw, repeat(bits, length)))
+        if max(values) >= p:
+            kept = [v for v in values if v < p]
+            while len(kept) < length:
+                v = draw(bits)
+                if v < p:
+                    kept.append(v)
+            values = tuple(kept)
+        out.append(ModelVector._raw(field, values))
+    return tuple(out)
 
 
 class SharePolynomial:
     """Coefficients [model, noise_1, ..., noise_T]; evaluates exactly.
 
     Coefficient coherence (one field, one length) is checked once here, so
-    evaluation can run a bare Horner loop; shares are the hot path of every
-    simulated run and of the exhaustive privacy enumeration.
+    evaluation runs the field module's Horner kernel directly; shares are the
+    hot path of every simulated run and of the exhaustive privacy
+    enumeration.  The coefficients are packed into lanes once, here, for
+    all ``t + d + 1`` evaluations of a group.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_lanes")
 
     def __init__(self, coeffs: Sequence[ModelVector]):
         coeffs = tuple(coeffs)
@@ -79,6 +100,7 @@ class SharePolynomial:
             if len(c.values) != length:
                 raise LengthMismatchError("coefficient vectors differ in length")
         self.coeffs = coeffs
+        self._lanes = [_pack(c.values) for c in coeffs]
 
     @property
     def model(self) -> ModelVector:
@@ -89,18 +111,7 @@ class SharePolynomial:
         return len(self.coeffs) - 1
 
     def eval(self, x) -> ModelVector:
-        field = self.coeffs[0].field
-        p = field.p
-        if isinstance(x, EvalPoint):
-            xv = x.alpha
-        elif isinstance(x, FieldElement):
-            xv = x.value
-        else:
-            xv = int(x) % p
-        acc = self.coeffs[-1].values
-        for c in reversed(self.coeffs[:-1]):
-            acc = tuple((a * xv + b) % p for a, b in zip(acc, c.values))
-        return ModelVector._raw(field, acc)
+        return _horner(self.coeffs[0].field, self._lanes, x, len(self.coeffs[0].values))
 
 
 def build_polynomial(model: ModelVector, noise, collusion_bound: int) -> SharePolynomial:

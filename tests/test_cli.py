@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from swiftagg.cli import build_run_config, build_parser, main, run_experiments
 
@@ -168,6 +172,24 @@ def test_privacy_suite_passes(capsys):
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert len(records) == 5
     assert all(r["verdict"] == "independent" for r in records)
+
+
+def test_privacy_does_not_warn_about_its_own_instances():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def stderr_of(*args):
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        ).stderr
+
+    # The same interpreter setup does show the warning for user-built t = 1 params.
+    built = stderr_of(
+        "-c",
+        "from swiftagg import FieldSpec, ProtocolParams\n"
+        "ProtocolParams(6, 1, 1, 1, FieldSpec(101))",
+    )
+    assert "CollusionBoundWarning" in built
+    assert "CollusionBoundWarning" not in stderr_of("-m", "swiftagg", "privacy")
 
 
 def test_privacy_no_noise_reports_witness(capsys):

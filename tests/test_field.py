@@ -20,6 +20,7 @@ from swiftagg.field import (
     field_inv,
     field_mul,
     field_sub,
+    is_prime,
     lagrange_interpolate_at_zero,
     poly_eval,
     vec_add,
@@ -34,6 +35,27 @@ def test_modulus_must_be_prime():
             FieldSpec(bad)
     for good in PRIMES:
         assert FieldSpec(good).p == good
+
+
+def test_is_prime_matches_a_sieve_below_200000():
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, limit, i)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_on_pseudoprimes_and_the_top_of_the_range():
+    assert not is_prime(2047)  # strong pseudoprime to base 2
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5 and 7
+    assert not is_prime(561)  # Carmichael number
+    assert is_prime(4294967291)  # the largest prime below 2**32
+    assert not is_prime(4294967295)
+    assert FieldSpec(4294967291).p == 4294967291
+    with pytest.raises(ValueError):
+        FieldSpec(3215031751)
 
 
 def test_modulus_bound():
