@@ -51,6 +51,7 @@ from .protocol import (
     BEFORE_SHARING,
     DROPOUT_TIMINGS,
     MID_SEQUENCE,
+    DropoutPlan,
     GroupPosition,
     MessageLog,
     ProtocolParams,
@@ -61,7 +62,6 @@ from .protocol import (
 from .sharing import (
     SharePolynomial,
     build_polynomial,
-    reconstruct_aggregate,
     sample_noise,
     share_for,
     user_rng,
@@ -69,7 +69,6 @@ from .sharing import (
 from .simnet import (
     AdversaryConfig,
     AdversaryView,
-    DropoutPlan,
     RunMetrics,
     SimulationResult,
     count_loads,

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ConfigError, IndivisibleNError, SwiftAggError, TooLargeError
-from .field import MAX_MODULUS, FieldSpec, ModelVector, is_prime
-from .protocol import ProtocolParams
+from .field import MAX_MODULUS, FieldSpec, is_prime
+from .protocol import DropoutPlan, ProtocolParams
 from .privacy_oracle import run_privacy_suite
-from .sharing import derive_subseed, uniform_element
-from .simnet import AdversaryConfig, DropoutPlan, simulate, table1_analytic
+from .sharing import derive_subseed, sample_noise
+from .simnet import AdversaryConfig, simulate, table1_analytic
 
 RESULT_FIELDS = ("recovered_ok", "r_user", "r_uplink_actual", "r_uplink_required", "elapsed")
 
@@ -46,16 +46,11 @@ DEFAULTS = {
 
 @dataclass
 class RunConfig:
-    n: int
-    t: int
-    d: int
-    model_len: int
-    field_modulus: int
+    params: ProtocolParams
     seed: int
     drop: tuple
     drop_rate: Optional[float]
-    adversary: tuple
-    server_curious: bool
+    adversary: AdversaryConfig
     reps: int
     out_format: str
     shuffle_groups: bool
@@ -125,8 +120,20 @@ def _merge(flag_value, file_values: dict, key: str, default):
     return default
 
 
+def _checked(prefix: str, build, *args):
+    """Call into the library, turning its rejection into a ``ConfigError``.
+
+    ``ProtocolParams`` messages already start with the parameter they name;
+    ``prefix`` names the CLI field behind any other value object.
+    """
+    try:
+        return build(*args)
+    except (ValueError, IndivisibleNError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
 def build_run_config(args) -> RunConfig:
-    """Resolve flags over file values over defaults, validating field by field."""
+    """Resolve flags over file values over defaults; the library checks the bounds."""
     file_values = _parse_config_file(args.config) if args.config else {}
 
     def pick(key, default=None):
@@ -151,7 +158,7 @@ def build_run_config(args) -> RunConfig:
     drop = _as_id_list("drop", pick("drop"))
     raw_rate = pick("drop_rate", DEFAULTS["drop_rate"])
     drop_rate = None if raw_rate in (None, "") else _as_float("drop_rate", raw_rate)
-    adversary = _as_id_list("adversary", pick("adversary"))
+    colluders = _as_id_list("adversary", pick("adversary"))
     server_curious = _as_bool(
         "server_curious", pick("server_curious", DEFAULTS["server_curious"])
     )
@@ -159,18 +166,6 @@ def build_run_config(args) -> RunConfig:
         "shuffle_groups", pick("shuffle_groups", DEFAULTS["shuffle_groups"])
     )
 
-    if n < 1:
-        raise ConfigError(f"n: must be >= 1, got {n}")
-    if t < 1:
-        raise ConfigError(f"t: must be >= 1, got {t}")
-    if d < 0:
-        raise ConfigError(f"d: must be >= 0, got {d}")
-    if t + d >= n:
-        raise ConfigError(f"t: need t + d < n, got t={t} d={d} n={n}")
-    if n % (t + d + 1) != 0:
-        raise ConfigError(f"n: must be a multiple of t+d+1={t + d + 1}, got {n}")
-    if model_len < 1:
-        raise ConfigError(f"model_len: must be >= 1, got {model_len}")
     if reps < 1:
         raise ConfigError(f"reps: must be >= 1, got {reps}")
     if out_format not in ("json", "csv"):
@@ -179,59 +174,32 @@ def build_run_config(args) -> RunConfig:
         raise ConfigError("drop_rate: give either an explicit drop list or a rate, not both")
     if drop_rate is not None and not 0.0 <= drop_rate <= 1.0:
         raise ConfigError(f"drop_rate: must be in [0, 1], got {drop_rate}")
-    if len(drop) > d:
-        raise ConfigError(f"drop: {len(drop)} victims exceed d={d}")
-    for uid in drop:
-        if not 1 <= uid <= n:
-            raise ConfigError(f"drop: user id {uid} outside [1, {n}]")
+    # The library holds ids in a dict and a frozenset, where repeats vanish.
     if len(set(drop)) != len(drop):
         raise ConfigError("drop: duplicate user ids")
-    if len(adversary) > t:
-        raise ConfigError(f"adversary: {len(adversary)} colluders exceed t={t}")
-    for uid in adversary:
-        if not 1 <= uid <= n:
-            raise ConfigError(f"adversary: user id {uid} outside [1, {n}]")
-    if len(set(adversary)) != len(adversary):
+    if len(set(colluders)) != len(colluders):
         raise ConfigError("adversary: duplicate user ids")
 
+    spec = _checked("field: ", FieldSpec, modulus)
+    params = _checked("", ProtocolParams, n, t, d, model_len, spec)
+    _checked("drop: ", DropoutPlan.uniform(drop).validate_for, params)
+    adversary = AdversaryConfig.of(colluders, server_curious)
+    _checked("adversary: ", adversary.validate_for, params)
+
     return RunConfig(
-        n=n,
-        t=t,
-        d=d,
-        model_len=model_len,
-        field_modulus=modulus,
+        params=params,
         seed=seed,
         drop=drop,
         drop_rate=drop_rate,
         adversary=adversary,
-        server_curious=server_curious,
         reps=reps,
         out_format=out_format,
         shuffle_groups=shuffle_groups,
     )
 
 
-def _build_params(config: RunConfig) -> ProtocolParams:
-    try:
-        spec = FieldSpec(config.field_modulus)
-    except ValueError as exc:
-        raise ConfigError(f"field: {exc}") from exc
-    try:
-        return ProtocolParams(config.n, config.t, config.d, config.model_len, spec)
-    except IndivisibleNError as exc:
-        raise ConfigError(f"n: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"params: {exc}") from exc
-
-
 def _random_models(params: ProtocolParams, rng: random.Random) -> list:
-    return [
-        ModelVector._raw(
-            params.field,
-            tuple(uniform_element(params.field, rng) for _ in range(params.model_len)),
-        )
-        for _ in range(params.n)
-    ]
+    return list(sample_noise(params.field, params.n, params.model_len, rng))
 
 
 def _sample_victims(config: RunConfig, rng: random.Random) -> tuple:
@@ -239,15 +207,15 @@ def _sample_victims(config: RunConfig, rng: random.Random) -> tuple:
         return config.drop
     if config.drop_rate is None:
         return ()
-    count = min(config.d, round(config.drop_rate * config.n))
-    return tuple(sorted(rng.sample(range(1, config.n + 1), count)))
+    n = config.params.n
+    count = min(config.params.d, round(config.drop_rate * n))
+    return tuple(sorted(rng.sample(range(1, n + 1), count)))
 
 
 def run_experiments(config: RunConfig, out=None) -> int:
     """Execute ``reps`` simulations; emit one record each; nonzero on any failure."""
     out = out if out is not None else sys.stdout
-    params = _build_params(config)
-    adversary = AdversaryConfig.of(config.adversary, config.server_curious)
+    params = config.params
 
     writer = None
     if config.out_format == "csv":
@@ -266,7 +234,7 @@ def run_experiments(config: RunConfig, out=None) -> int:
             params,
             models,
             plan,
-            adversary,
+            config.adversary,
             seed=derive_subseed(config.seed, f"noise-{rep}"),
             group_shuffle=config.shuffle_groups,
         )
@@ -311,23 +279,17 @@ def run_privacy(no_noise: bool, out=None) -> int:
 
 def run_table(t: int, d: int, model_len: int, out=None) -> int:
     out = out if out is not None else sys.stdout
-    if t < 1:
-        raise ConfigError(f"t: must be >= 1, got {t}")
-    if d < 0:
-        raise ConfigError(f"d: must be >= 0, got {d}")
-    if model_len < 1:
-        raise ConfigError(f"model_len: must be >= 1, got {model_len}")
     # Parameter holder only; n is irrelevant to the analytic rows.
-    params = ProtocolParams(
-        (t + d + 1) * 2, t, d, model_len, FieldSpec(_smallest_prime_above(t + d + 1))
-    )
+    nu = t + d + 1
+    spec = FieldSpec(_smallest_prime_above(nu))
+    params = _checked("", ProtocolParams, 2 * nu, t, d, model_len, spec)
     for row in table1_analytic(params):
         out.write(json.dumps(row) + "\n")
     return 0
 
 
 def _smallest_prime_above(bound: int) -> int:
-    for candidate in range(bound + 1, MAX_MODULUS):
+    for candidate in range(max(bound, 1) + 1, MAX_MODULUS):
         if is_prime(candidate):
             return candidate
     raise ConfigError(

@@ -36,12 +36,13 @@ from .field import FieldSpec, ModelVector
 from .protocol import (
     BEFORE_SHARING,
     CollusionBoundWarning,
+    DropoutPlan,
     GroupPosition,
     ProtocolParams,
     assign_groups,
     execute_protocol,
 )
-from .simnet import AdversaryConfig, DropoutPlan, collect_adversary_view
+from .simnet import AdversaryConfig, collect_adversary_view
 
 ENUMERATION_GUARD = 10**9
 

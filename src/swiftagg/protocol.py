@@ -97,24 +97,24 @@ class ProtocolParams:
     field: FieldSpec
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.t < 1:
-            raise ValueError(f"t must be >= 1, got {self.t}")
+            raise ValueError(f"t: must be >= 1, got {self.t}")
         if self.d < 0:
-            raise ValueError(f"d must be >= 0, got {self.d}")
+            raise ValueError(f"d: must be >= 0, got {self.d}")
         if self.t + self.d >= self.n:
-            raise ValueError(f"need t + d < n, got t={self.t} d={self.d} n={self.n}")
+            raise ValueError(
+                f"n: must exceed t + d, got n={self.n} t={self.t} d={self.d}"
+            )
         if self.model_len < 1:
-            raise ValueError(f"model_len must be >= 1, got {self.model_len}")
+            raise ValueError(f"model_len: must be >= 1, got {self.model_len}")
         nu = self.t + self.d + 1
         if self.n % nu != 0:
             raise IndivisibleNError(
-                f"n={self.n} is not a multiple of the group size t+d+1={nu}"
+                f"n: {self.n} is not a multiple of the group size t+d+1={nu}"
             )
         if self.field.p <= nu:
             raise ValueError(
-                f"field modulus {self.field.p} must exceed the group size {nu} "
+                f"field: modulus {self.field.p} must exceed the group size {nu} "
                 "to provide distinct nonzero evaluation points"
             )
         if self.t == 1:
@@ -143,6 +143,36 @@ def assign_groups(params: ProtocolParams, shuffle_seed: Optional[int] = None):
     return {
         user: GroupPosition(i // nu + 1, i % nu + 1) for i, user in enumerate(order)
     }
+
+
+@dataclass(frozen=True)
+class DropoutPlan:
+    """Which users go silent and when; at most ``d`` victims per run."""
+
+    timings: Mapping[int, str]
+
+    @classmethod
+    def none(cls) -> "DropoutPlan":
+        return cls({})
+
+    @classmethod
+    def uniform(cls, victims, timing: str = BEFORE_SHARING) -> "DropoutPlan":
+        return cls({int(v): timing for v in victims})
+
+    @property
+    def victims(self) -> frozenset:
+        return frozenset(self.timings)
+
+    def validate_for(self, params: ProtocolParams) -> None:
+        for uid, timing in self.timings.items():
+            if not 1 <= uid <= params.n:
+                raise ValueError(f"victim {uid} is not a user id in [1, {params.n}]")
+            if timing not in DROPOUT_TIMINGS:
+                raise ValueError(f"unknown dropout timing {timing!r}")
+        if len(self.timings) > params.d:
+            raise ValueError(
+                f"{len(self.timings)} victims exceed the dropout bound d={params.d}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +437,7 @@ def _validate_run_inputs(params, models, noise, timings):
             raise ValueError("model vector lies in the wrong field")
         if len(m.values) != params.model_len:
             raise ValueError("model vector has the wrong length")
-    for uid, timing in timings.items():
-        if not 1 <= uid <= params.n:
-            raise ValueError(f"dropout victim {uid} is not a user id in [1, {params.n}]")
-        if timing not in DROPOUT_TIMINGS:
-            raise ValueError(f"unknown dropout timing {timing!r}")
-    if len(timings) > params.d:
-        raise ValueError(
-            f"{len(timings)} victims exceed the dropout bound d={params.d}"
-        )
+    DropoutPlan(timings).validate_for(params)
     for uid in range(1, params.n + 1):
         if uid not in noise:
             raise ValueError(f"no noise vectors supplied for user {uid}")
@@ -524,6 +546,27 @@ def execute_protocol(
     return ProtocolRun(recovered, log, contributors, dict(positions))
 
 
+def execute_seeded(
+    params: ProtocolParams,
+    models: Sequence[ModelVector],
+    timings: Mapping[int, str],
+    seed: int,
+    group_shuffle: bool = False,
+) -> tuple:
+    """Derive the group layout and every user's noise from ``seed``, then run.
+
+    Returns ``(run, noise)``; the noise is what the adversary view of a
+    colluder's own inputs is built from.
+    """
+    shuffle_seed = derive_subseed(seed, "groups") if group_shuffle else None
+    positions = assign_groups(params, shuffle_seed=shuffle_seed)
+    noise = {
+        uid: sample_noise(params.field, params.t, params.model_len, user_rng(seed, uid))
+        for uid in range(1, params.n + 1)
+    }
+    return execute_protocol(params, models, noise, timings, positions), noise
+
+
 def run_protocol(
     params: ProtocolParams,
     models: Sequence[ModelVector],
@@ -537,11 +580,5 @@ def run_protocol(
     field sum of the non-dropped users' models.
     """
     timings = {int(uid): BEFORE_SHARING for uid in dropouts}
-    shuffle_seed = derive_subseed(seed, "groups") if group_shuffle else None
-    positions = assign_groups(params, shuffle_seed=shuffle_seed)
-    noise = {
-        uid: sample_noise(params.field, params.t, params.model_len, user_rng(seed, uid))
-        for uid in range(1, params.n + 1)
-    }
-    run = execute_protocol(params, models, noise, timings, positions)
+    run, _ = execute_seeded(params, models, timings, seed, group_shuffle)
     return run.recovered, run.log

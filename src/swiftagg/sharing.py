@@ -20,14 +20,7 @@ from .errors import (
     MixedFieldError,
     ZeroEvaluationPointError,
 )
-from .field import (
-    EvalPoint,
-    FieldSpec,
-    ModelVector,
-    _horner,
-    _pack,
-    lagrange_interpolate_at_zero,
-)
+from .field import FieldSpec, ModelVector, _as_abscissa, _horner, _pack
 
 
 def derive_subseed(seed: int, label) -> int:
@@ -133,24 +126,7 @@ def build_polynomial(model: ModelVector, noise, collusion_bound: int) -> SharePo
 
 def share_for(poly: SharePolynomial, point) -> ModelVector:
     """Evaluate ``poly`` at a nonzero point; the share sent to that point's owner."""
-    p = poly.coeffs[0].field.p
-    if isinstance(point, EvalPoint):
-        alpha = point.alpha % p  # EvalPoint guarantees nonzero in its own field
-        if alpha == 0:
-            raise ZeroEvaluationPointError("share point must be nonzero")
-    else:
-        alpha = int(point) % p
-        if alpha == 0:
-            raise ZeroEvaluationPointError("share point must be nonzero")
+    alpha = _as_abscissa(point, poly.coeffs[0].field)
+    if alpha == 0:
+        raise ZeroEvaluationPointError("share point must be nonzero")
     return poly.eval(alpha)
-
-
-def reconstruct_aggregate(uploads, collusion_bound: int) -> ModelVector:
-    """Interpolate the uploads at x = 0: the field sum of contributing models.
-
-    ``uploads`` is a sequence of (point, ModelVector) pairs with distinct
-    nonzero points; at least ``collusion_bound + 1`` are required.  Surplus
-    uploads are consistency-checked, so a diverging sequence shows up as an
-    error rather than a wrong sum.
-    """
-    return lagrange_interpolate_at_zero(uploads, collusion_bound)

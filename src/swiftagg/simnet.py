@@ -1,9 +1,9 @@
-"""Deterministic simulation harness: dropout plans, adversary views, load accounting.
+"""Deterministic simulation harness: adversary views and load accounting.
 
-The harness samples per-user noise from a run seed, executes the protocol,
-then derives everything else from the transcript: message counts, the
-normalized communication loads, and the exact set of messages a semi-honest
-adversary (colluding users, optionally the curious server) gets to see.
+The harness runs the protocol from a seed (``protocol.execute_seeded``), then
+derives everything else from the transcript: message counts, the normalized
+communication loads, and the exact set of messages a semi-honest adversary
+(colluding users, optionally the curious server) gets to see.
 """
 
 from __future__ import annotations
@@ -14,45 +14,12 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import ViewLeakError
 from .field import ModelVector
 from .protocol import (
-    BEFORE_SHARING,
-    DROPOUT_TIMINGS,
     PHASE_UPLOAD,
+    DropoutPlan,
     MessageLog,
     ProtocolParams,
-    assign_groups,
-    execute_protocol,
+    execute_seeded,
 )
-from .sharing import derive_subseed, sample_noise, user_rng
-
-
-@dataclass(frozen=True)
-class DropoutPlan:
-    """Which users go silent and when; at most ``d`` victims per run."""
-
-    timings: Mapping[int, str]
-
-    @classmethod
-    def none(cls) -> "DropoutPlan":
-        return cls({})
-
-    @classmethod
-    def uniform(cls, victims, timing: str = BEFORE_SHARING) -> "DropoutPlan":
-        return cls({int(v): timing for v in victims})
-
-    @property
-    def victims(self) -> frozenset:
-        return frozenset(self.timings)
-
-    def validate_for(self, params: ProtocolParams) -> None:
-        for uid, timing in self.timings.items():
-            if not 1 <= uid <= params.n:
-                raise ValueError(f"victim {uid} is not a user id in [1, {params.n}]")
-            if timing not in DROPOUT_TIMINGS:
-                raise ValueError(f"unknown dropout timing {timing!r}")
-        if len(self.timings) > params.d:
-            raise ValueError(
-                f"{len(self.timings)} victims exceed the dropout bound d={params.d}"
-            )
 
 
 @dataclass(frozen=True)
@@ -218,17 +185,10 @@ def simulate(
     group_shuffle: bool = False,
 ) -> SimulationResult:
     """One deterministic run: execute, account loads, capture the adversary view."""
-    plan.validate_for(params)
     adversary.validate_for(params)
-    shuffle_seed = derive_subseed(seed, "groups") if group_shuffle else None
-    positions = assign_groups(params, shuffle_seed=shuffle_seed)
-    noise = {
-        uid: sample_noise(params.field, params.t, params.model_len, user_rng(seed, uid))
-        for uid in range(1, params.n + 1)
-    }
-    run = execute_protocol(params, models, noise, plan.timings, positions)
+    run, noise = execute_seeded(params, models, plan.timings, seed, group_shuffle)
     metrics = count_loads(run.log, params)
-    view = collect_adversary_view(run.log, adversary, models, noise, positions)
+    view = collect_adversary_view(run.log, adversary, models, noise, run.positions)
     return SimulationResult(run.recovered, metrics, view, run.log)
 
 

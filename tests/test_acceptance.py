@@ -34,7 +34,6 @@ from swiftagg.protocol import (
     ServerUpload,
     run_protocol,
 )
-from swiftagg.sharing import reconstruct_aggregate
 from swiftagg.simnet import AdversaryConfig, DropoutPlan, simulate
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -149,7 +148,7 @@ def test_criterion_3_load_formulas():
         uploads = [(m.t, m.payload) for m in result.log if isinstance(m, ServerUpload)]
         total = field_sum(params.field, models, length)
         for subset in itertools.combinations(uploads, t + 1):
-            assert reconstruct_aggregate(list(subset), t) == total
+            assert lagrange_interpolate_at_zero(list(subset), t) == total
     report(3, "user msgs = (n-1)(t+d+1), uploads = t+d+1, any t+1-subset recovers")
 
 

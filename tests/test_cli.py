@@ -62,6 +62,13 @@ def test_validation_paths(capsys):
         (["--n", "4", "--t", "1", "--d", "0", "--drop-rate", "2.0"], "drop_rate:"),
         (["--n", "6", "--t", "1", "--d", "1", "--drop", "1", "--drop-rate", "0.5"], "drop_rate:"),
         (["--n", "4", "--t", "1", "--d", "0", "--reps", "0"], "reps:"),
+        (["--n", "0", "--t", "1", "--d", "0"], "n:"),
+        (["--n", "4", "--t", "0", "--d", "0"], "t:"),
+        (["--n", "4", "--t", "1", "--d", "-1"], "d:"),
+        (["--n", "4", "--t", "1", "--d", "0", "--model-len", "0"], "model_len:"),
+        (["--n", "4", "--t", "1", "--d", "0", "--field", "2"], "field:"),
+        (["--n", "6", "--t", "1", "--d", "1", "--drop", "9"], "drop:"),
+        (["--n", "4", "--t", "1", "--d", "0", "--adversary", "0"], "adversary:"),
     ]
     for argv, needle in cases:
         code, _, err = run_cli(capsys, "run", *argv)
@@ -216,3 +223,9 @@ def test_table_without_a_prime_field_is_config_error(capsys):
     code, _, err = run_cli(capsys, "table", "--t", "1", "--d", str(1 << 40))
     assert code == 2
     assert "t:" in err
+    code, _, err = run_cli(capsys, "table", "--t", "2", "--d", "-3")
+    assert code == 2
+    assert "d:" in err
+    code, _, err = run_cli(capsys, "table", "--t", "2", "--d", "1", "--model-len", "0")
+    assert code == 2
+    assert "model_len:" in err

@@ -9,12 +9,18 @@ import pytest
 from swiftagg.errors import (
     ArityMismatchError,
     InsufficientPointsError,
+    MixedFieldError,
     ZeroEvaluationPointError,
 )
-from swiftagg.field import EvalPoint, FieldSpec, poly_eval, vec_add
+from swiftagg.field import (
+    EvalPoint,
+    FieldSpec,
+    lagrange_interpolate_at_zero,
+    poly_eval,
+    vec_add,
+)
 from swiftagg.sharing import (
     build_polynomial,
-    reconstruct_aggregate,
     sample_noise,
     share_for,
     uniform_element,
@@ -69,6 +75,10 @@ def test_share_at_zero_rejected():
     poly = build_polynomial(f.vector([3]), [f.vector([2])], 1)
     with pytest.raises(ZeroEvaluationPointError):
         share_for(poly, 0)
+    g = FieldSpec(101)
+    foreign = build_polynomial(g.vector([3]), [g.vector([2])], 1)
+    with pytest.raises(MixedFieldError):
+        share_for(foreign, EvalPoint(f, 3))
 
 
 def test_reconstruct_matches_plain_sum():
@@ -88,9 +98,9 @@ def test_reconstruct_matches_plain_sum():
         expected = vec_add(expected, m)
 
     # any T+1-subset recovers the same sum; surplus is consistency-checked
-    assert reconstruct_aggregate(uploads, 1) == expected
+    assert lagrange_interpolate_at_zero(uploads, 1) == expected
     for pair in itertools.combinations(uploads, 2):
-        assert reconstruct_aggregate(list(pair), 1) == expected
+        assert lagrange_interpolate_at_zero(list(pair), 1) == expected
 
 
 def test_reconstruct_all_zero_models():
@@ -103,13 +113,13 @@ def test_reconstruct_all_zero_models():
         for poly in polys[1:]:
             total = vec_add(total, share_for(poly, alpha))
         uploads.append((alpha, total))
-    assert reconstruct_aggregate(uploads, 1) == f.zeros(1)
+    assert lagrange_interpolate_at_zero(uploads, 1) == f.zeros(1)
 
 
 def test_reconstruct_insufficient_points():
     f = FieldSpec(7)
     with pytest.raises(InsufficientPointsError):
-        reconstruct_aggregate([(1, f.vector([2]))], 1)
+        lagrange_interpolate_at_zero([(1, f.vector([2]))], 1)
 
 
 def test_shamir_hiding_exact_distribution():

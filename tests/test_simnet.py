@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from swiftagg.errors import ViewLeakError
-from swiftagg.field import FieldSpec, vec_add
+from swiftagg.field import FieldSpec, lagrange_interpolate_at_zero, vec_add
 from swiftagg.protocol import (
     AFTER_SHARING,
     BEFORE_SHARING,
@@ -18,7 +18,6 @@ from swiftagg.protocol import (
     ProtocolParams,
     ServerUpload,
 )
-from swiftagg.sharing import reconstruct_aggregate
 from swiftagg.simnet import (
     AdversaryConfig,
     AdversaryView,
@@ -70,6 +69,11 @@ def test_plan_validation():
         DropoutPlan.uniform([9]).validate_for(params)
     with pytest.raises(ValueError):
         DropoutPlan({3: "sometime"}).validate_for(params)
+    # simulate relies on execute_protocol's check of the same plans
+    models = random_models(params, 1)
+    for plan in (DropoutPlan({3: "sometime"}), DropoutPlan.uniform([1, 2])):
+        with pytest.raises(ValueError):
+            run(params, models, plan)
 
 
 def test_adversary_validation():
@@ -240,7 +244,7 @@ def test_any_subset_of_uploads_recovers():
     uploads = [(m.t, m.payload) for m in result.log if isinstance(m, ServerUpload)]
     expected = field_sum(params.field, models)
     for subset in itertools.combinations(uploads, params.t + 1):
-        assert reconstruct_aggregate(list(subset), params.t) == expected
+        assert lagrange_interpolate_at_zero(list(subset), params.t) == expected
 
 
 def test_table_rows_match_measured_maxima():
