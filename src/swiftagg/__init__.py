@@ -29,10 +29,6 @@ from .field import (
     FieldElement,
     FieldSpec,
     ModelVector,
-    field_add,
-    field_inv,
-    field_mul,
-    field_sub,
     lagrange_interpolate_at_zero,
     poly_eval,
     vec_add,

@@ -20,6 +20,7 @@ import json
 import random
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -124,12 +125,18 @@ def _checked(prefix: str, build, *args):
     """Call into the library, turning its rejection into a ``ConfigError``.
 
     ``ProtocolParams`` messages already start with the parameter they name;
-    ``prefix`` names the CLI field behind any other value object.
+    ``prefix`` names the CLI field behind any other value object.  A library
+    warning becomes one ``warning:`` line on stderr, with no source location.
     """
-    try:
-        return build(*args)
-    except (ValueError, IndivisibleNError) as exc:
-        raise ConfigError(f"{prefix}{exc}") from exc
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            built = build(*args)
+        except (ValueError, IndivisibleNError) as exc:
+            raise ConfigError(f"{prefix}{exc}") from exc
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+    return built
 
 
 def build_run_config(args) -> RunConfig:

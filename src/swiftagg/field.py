@@ -139,22 +139,6 @@ class FieldElement:
         return f"{self.value} (mod {self.field.p})"
 
 
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_sub(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a - b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
 class ModelVector:
     """A fixed-length vector over one prime field.
 

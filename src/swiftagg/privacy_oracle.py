@@ -8,15 +8,13 @@ two conditional distributions count as equal only if they match
 view-for-view and count-for-count, which for finite exact distributions is
 the same statement as zero mutual information.
 
-Every protocol step acts coordinate by coordinate, so the noise assignments
-are batched into vector coordinates: one run per honest-model assignment
-carries all noise assignments at once, and its view is counted column by
-column.
-
-The oracle also houses the derived noise quantities used by the chain and
-hiding checks: the accumulated sequence noise ``ztilde(gamma, t)`` (the
-noise component of a running sequence sum) and per-user share noise, which
-exist only as proof devices and have no role in the protocol itself.
+Every protocol step acts coordinate by coordinate, so every check batches
+its noise assignments into vector coordinates (``_enumerated``) and computes
+on the package's own kernels: one run per honest-model assignment carries
+all noise assignments of the view check, one zero-model run yields every
+accumulated sequence noise ``ztilde(gamma, t)`` of the chain check, and the
+hiding check evaluates real masking polynomials with ``share_for``.  Each
+result is then counted column by column.
 
 Instance sizes are guarded: enumeration covers p**(#honest models + N*T)
 assignments, rejected above 10**9.
@@ -35,6 +33,7 @@ from .errors import TooLargeError
 from .field import FieldSpec, ModelVector
 from .protocol import (
     BEFORE_SHARING,
+    PHASE_INTRA,
     CollusionBoundWarning,
     DropoutPlan,
     GroupPosition,
@@ -42,6 +41,7 @@ from .protocol import (
     assign_groups,
     execute_protocol,
 )
+from .sharing import build_polynomial, share_for
 from .simnet import AdversaryConfig, collect_adversary_view
 
 ENUMERATION_GUARD = 10**9
@@ -163,17 +163,36 @@ class CheckResult:
         return out
 
 
+def _enumerated(spec: FieldSpec, slots: int, zero_noise: bool = False) -> tuple:
+    """``slots`` noise vectors that carry every noise assignment at once.
+
+    Coordinate ``k`` of the vectors holds the ``k``-th tuple of
+    ``itertools.product(range(p), repeat=slots)``; ``zero_noise`` holds only
+    the all-zero tuple.
+    """
+    if zero_noise:
+        return (spec.zeros(1),) * slots
+    columns = zip(*itertools.product(range(spec.p), repeat=slots))
+    return tuple(ModelVector._raw(spec, column) for column in columns)
+
+
+def _widened(params: ProtocolParams, width: int) -> ProtocolParams:
+    """``params`` with ``width``-long models, one coordinate per assignment."""
+    with warnings.catch_warnings():
+        # The caller's params already warned about t = 1.
+        warnings.simplefilter("ignore", CollusionBoundWarning)
+        return dataclasses.replace(params, model_len=width)
+
+
 def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDistribution:
     """Count the adversary view for every (honest models, all noise) assignment.
 
     One protocol run per honest-model assignment carries every noise
-    assignment: coordinate ``k`` of the noise vectors holds the ``k``-th
-    tuple of ``itertools.product(range(p), repeat=N*T)`` and each model is a
-    constant vector, so column ``k`` of the view is exactly the canonical
-    view of a scalar run on that assignment.  ``zero_noise`` replaces the
-    noise enumeration with the single all-zero assignment; it exists as a
-    negative control and must break privacy for any adversary that sees
-    unaggregated material.
+    assignment of the ``N*T`` slots from ``_enumerated``, and each model is
+    a constant vector, so column ``k`` of the view is exactly the canonical
+    view of a scalar run on assignment ``k``.  ``zero_noise`` keeps only the
+    all-zero assignment; it exists as a negative control and must break
+    privacy for any adversary that sees unaggregated material.
     """
     params = instance.params
     spec = params.field
@@ -182,25 +201,14 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     positions = assign_groups(params)
     timings = dict(instance.plan.timings)
 
-    slots = instance.noise_symbol_count
-    if zero_noise:
-        assignments = [(0,) * slots]
-    else:
-        assignments = list(itertools.product(range(p), repeat=slots))
-    width = len(assignments)
+    columns = _enumerated(spec, instance.noise_symbol_count, zero_noise)
+    width = len(columns[0].values)
     # Slot (uid, j) is entry (uid - 1) * T + j of every noise assignment.
-    slot_columns = list(zip(*assignments))
     noise = {
-        uid: tuple(
-            ModelVector._raw(spec, slot_columns[(uid - 1) * params.t + j])
-            for j in range(params.t)
-        )
+        uid: columns[(uid - 1) * params.t : uid * params.t]
         for uid in range(1, params.n + 1)
     }
-    with warnings.catch_warnings():
-        # The instance itself already warned about t = 1.
-        warnings.simplefilter("ignore", CollusionBoundWarning)
-        wide = dataclasses.replace(params, model_len=width)
+    wide = _widened(params, width)
     const = [ModelVector._raw(spec, (v,) * width) for v in range(p)]
     singles = [(v,) for v in range(p)]
 
@@ -291,46 +299,16 @@ def check_conditional_independence(dist: ViewDistribution) -> CheckResult:
     )
 
 
-def _sequence_noise_values(instance, noise_values, alphas, positions):
-    """The accumulated sequence noise per (gamma, t) for one noise assignment.
-
-    ``ztilde(gamma, t)`` is the noise part of the running sequence sum after
-    group ``gamma``: sum over j of alpha_t**j times the degree-j noise of all
-    contributing users in groups 1..gamma.
-    """
-    params = instance.params
-    p = params.field.p
-    nu, num_groups = params.group_size, params.num_groups
-    timings = instance.plan.timings
-
-    # prefix[g][j] = sum of degree-(j+1) noise over contributing users in groups 1..g
-    prefix = [[0] * params.t for _ in range(num_groups + 1)]
-    for uid in range(1, params.n + 1):
-        if timings.get(uid) == BEFORE_SHARING:
-            continue
-        g = positions[uid].gamma
-        for j in range(params.t):
-            prefix[g][j] = (prefix[g][j] + noise_values[uid][j]) % p
-    for g in range(1, num_groups + 1):
-        for j in range(params.t):
-            prefix[g][j] = (prefix[g][j] + prefix[g - 1][j]) % p
-
-    ztilde = {}
-    for g in range(1, num_groups + 1):
-        for t in range(1, nu + 1):
-            total = 0
-            power = 1
-            for j in range(params.t):
-                power = power * alphas[t] % p
-                total = (total + power * prefix[g][j]) % p
-            ztilde[(g, t)] = total
-    return ztilde
-
-
 def check_noise_chain_independence(
     instance: TinyInstance, copy_previous_group_noise: bool = False
 ) -> CheckResult:
     """Factorization check of consecutive sequence-noise pairs.
+
+    ``ztilde(gamma, t)``, the noise sequence t has accumulated by group
+    ``gamma``, is what user ``(gamma, t)`` sends when every model is zero.
+    One zero-model run with nobody silent and every noise assignment in its
+    coordinates yields all of them; a ``before_sharing`` victim gets zero
+    noise, matching the zero shares its groupmates presume.
 
     For each sequence index t and each group boundary, the joint counts of
     ``(ztilde(gamma, t), ztilde(gamma+1, t))`` over all noise assignments must
@@ -340,7 +318,7 @@ def check_noise_chain_independence(
     chain perfectly dependent and must be witnessed.
     """
     params = instance.params
-    p = params.field.p
+    spec = params.field
     nu, num_groups = params.group_size, params.num_groups
     label = instance.label or "tiny-instance"
     if num_groups < 2:
@@ -350,40 +328,43 @@ def check_noise_chain_independence(
 
     positions = assign_groups(params)
     by_position = {pos: uid for uid, pos in positions.items()}
-    alphas = {t: t % p for t in range(1, nu + 1)}
 
     if copy_previous_group_noise:
         free_users = [by_position[GroupPosition(1, t)] for t in range(1, nu + 1)]
     else:
         free_users = list(range(1, params.n + 1))
-    free_slots = [(uid, j) for uid in free_users for j in range(params.t)]
+    columns = _enumerated(spec, len(free_users) * params.t)
+    total = len(columns[0].values)
+    noise = {
+        uid: columns[i * params.t : (i + 1) * params.t]
+        for i, uid in enumerate(free_users)
+    }
+    if copy_previous_group_noise:
+        for uid, pos in positions.items():
+            if pos.gamma > 1:
+                noise[uid] = noise[by_position[GroupPosition(1, pos.t)]]
+    zero = spec.zeros(total)
+    for uid, timing in instance.plan.timings.items():
+        if timing == BEFORE_SHARING:
+            noise[uid] = (zero,) * params.t
 
-    joints: dict = {
-        (g, t): Counter()
+    run = execute_protocol(
+        _widened(params, total), [zero] * params.n, noise, {}, positions
+    )
+    ztilde = {
+        (m.sender.gamma, m.sender.t): m.payload.values
+        for m in run.log
+        if m.phase != PHASE_INTRA
+    }
+    joints = {
+        (g, t): Counter(zip(ztilde[(g, t)], ztilde[(g + 1, t)]))
         for g in range(1, num_groups)
         for t in range(1, nu + 1)
     }
-    for zs in itertools.product(range(p), repeat=len(free_slots)):
-        noise_values = {uid: [0] * params.t for uid in range(1, params.n + 1)}
-        for (uid, j), value in zip(free_slots, zs):
-            noise_values[uid][j] = value
-        if copy_previous_group_noise:
-            for uid in range(1, params.n + 1):
-                pos = positions[uid]
-                if pos.gamma > 1:
-                    source = by_position[GroupPosition(1, pos.t)]
-                    noise_values[uid] = list(noise_values[source])
-        ztilde = _sequence_noise_values(instance, noise_values, alphas, positions)
-        for (g, t), counter in joints.items():
-            counter[(ztilde[(g, t)], ztilde[(g + 1, t)])] += 1
 
     for (g, t), joint in sorted(joints.items()):
-        total = sum(joint.values())
-        rows: Counter = Counter()
-        cols: Counter = Counter()
-        for (a, b), c in joint.items():
-            rows[a] += c
-            cols[b] += c
+        rows = Counter(ztilde[(g, t)])
+        cols = Counter(ztilde[(g + 1, t)])
         for a in rows:
             for b in cols:
                 if joint[(a, b)] * total != rows[a] * cols[b]:
@@ -409,36 +390,32 @@ def check_noise_chain_independence(
     )
 
 
-def check_share_hiding(
-    spec: FieldSpec, degree: int, points: Optional[tuple] = None
-) -> CheckResult:
+def check_share_hiding(spec: FieldSpec, degree: int) -> CheckResult:
     """Any <=``degree`` shares of one scalar secret are distribution-identical.
 
-    Enumerates all noise coefficient assignments for a degree-``degree``
-    masking polynomial and verifies, for every subset of up to ``degree``
-    distinct nonzero points, that the exact joint share distribution is the
-    same for every secret value.
+    For each secret, one masking polynomial from ``build_polynomial`` carries
+    every assignment of its ``degree`` noise coefficients in its coordinates,
+    and ``share_for`` evaluates it at every nonzero point.  For every subset
+    of up to ``degree`` distinct nonzero points, the exact joint share
+    distribution must be the same for every secret value as for secret 0.
     """
     p = spec.p
-    if points is None:
-        points = tuple(range(1, p))
     label = f"p{p}_degree{degree}"
+    noise = _enumerated(spec, degree)
+    width = p**degree
+    shares = [
+        {beta: share_for(poly, beta).values for beta in range(1, p)}
+        for poly in (
+            build_polynomial(ModelVector._raw(spec, (secret,) * width), noise, degree)
+            for secret in range(p)
+        )
+    ]
     for size in range(1, degree + 1):
-        for combo in itertools.combinations(points, size):
-            reference = None
-            reference_secret = None
-            for secret in range(p):
-                counter: Counter = Counter()
-                for zs in itertools.product(range(p), repeat=degree):
-                    shares = tuple(
-                        (secret + sum(z * pow(beta, j + 1, p) for j, z in enumerate(zs))) % p
-                        for beta in combo
-                    )
-                    counter[shares] += 1
-                if reference is None:
-                    reference = counter
-                    reference_secret = secret
-                elif counter != reference:
+        for combo in itertools.combinations(range(1, p), size):
+            reference = Counter(zip(*(shares[0][beta] for beta in combo)))
+            for secret in range(1, p):
+                counter = Counter(zip(*(shares[secret][beta] for beta in combo)))
+                if counter != reference:
                     diff = next(
                         k for k in reference.keys() | counter.keys()
                         if reference[k] != counter[k]
@@ -449,7 +426,7 @@ def check_share_hiding(
                         False,
                         witness={
                             "points": list(combo),
-                            "secret_a": reference_secret,
+                            "secret_a": 0,
                             "secret_b": secret,
                             "shares": list(diff),
                             "count_a": reference[diff],

@@ -78,10 +78,6 @@ class GroupPosition:
     gamma: int
     t: int
 
-    def user_index(self, group_size: int) -> int:
-        """User id under the canonical contiguous layout."""
-        return (self.gamma - 1) * group_size + self.t
-
     def __str__(self):
         return f"({self.gamma},{self.t})"
 

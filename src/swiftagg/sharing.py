@@ -95,14 +95,6 @@ class SharePolynomial:
         self.coeffs = coeffs
         self._lanes = [_pack(c.values) for c in coeffs]
 
-    @property
-    def model(self) -> ModelVector:
-        return self.coeffs[0]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def eval(self, x) -> ModelVector:
         return _horner(self.coeffs[0].field, self._lanes, x, len(self.coeffs[0].values))
 

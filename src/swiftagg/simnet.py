@@ -41,10 +41,6 @@ class AdversaryConfig:
     def of(cls, colluders, server_curious: bool = True) -> "AdversaryConfig":
         return cls(frozenset(int(c) for c in colluders), server_curious)
 
-    @property
-    def empty(self) -> bool:
-        return not self.colluders and not self.server_curious
-
     def validate_for(self, params: ProtocolParams) -> None:
         for uid in self.colluders:
             if not 1 <= uid <= params.n:

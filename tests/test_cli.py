@@ -197,6 +197,13 @@ def test_privacy_does_not_warn_about_its_own_instances():
     )
     assert "CollusionBoundWarning" in built
     assert "CollusionBoundWarning" not in stderr_of("-m", "swiftagg", "privacy")
+    # User-chosen t = 1 on the command line: one plain line, no source location.
+    line = (
+        "warning: t=1 is below the protocol's stated collusion range "
+        "2 <= t < n - d; execution is still exact\n"
+    )
+    assert stderr_of("-m", "swiftagg", "run", "--n", "4", "--t", "1", "--d", "0") == line
+    assert stderr_of("-m", "swiftagg", "table", "--t", "1", "--d", "0") == line
 
 
 def test_privacy_no_noise_reports_witness(capsys):

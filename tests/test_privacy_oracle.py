@@ -245,8 +245,13 @@ def test_colluder_without_curious_server_is_independent():
 
 
 def test_noise_chain_factorizes_on_two_groups():
-    instance = tiny(4, 1, 0, 3, AdversaryConfig.server_only())
-    assert check_noise_chain_independence(instance).independent
+    server = AdversaryConfig.server_only()
+    for instance in (
+        tiny(4, 1, 0, 3, server),
+        tiny(6, 1, 0, 3, server),  # three groups
+        tiny(6, 1, 1, 5, server, plan=DropoutPlan({1: BEFORE_SHARING})),
+    ):
+        assert check_noise_chain_independence(instance).independent
 
 
 def test_noise_chain_vacuous_for_single_group():
@@ -263,6 +268,17 @@ def test_noise_chain_detects_copied_noise():
     assert result.witness["joint_count"] * result.witness["total"] != (
         result.witness["row_count"] * result.witness["col_count"]
     )
+    assert result.witness == {
+        "gamma": 1, "t": 1, "pair": [0, 0],
+        "joint_count": 3, "row_count": 3, "col_count": 3, "total": 9,
+    }
+    # An after_sharing victim still shares, so its noise stays in the chain.
+    victim = tiny(
+        6, 1, 1, 5, AdversaryConfig.server_only(),
+        plan=DropoutPlan({4: AFTER_SHARING}),
+    )
+    witness = check_noise_chain_independence(victim, copy_previous_group_noise=True).witness
+    assert (witness["joint_count"], witness["total"]) == (25, 125)
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +290,8 @@ def test_share_hiding_up_to_degree():
     assert check_share_hiding(FieldSpec(5), 2).independent
     assert check_share_hiding(FieldSpec(7), 2).independent
     assert check_share_hiding(FieldSpec(5), 1).independent
+    assert check_share_hiding(FieldSpec(3), 1).independent
+    assert check_share_hiding(FieldSpec(3), 2).independent
 
 
 def test_degree_plus_one_shares_do_reveal():
