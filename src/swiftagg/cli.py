@@ -256,8 +256,8 @@ def run_experiments(config: RunConfig, out=None) -> int:
 
         record = {
             "recovered_ok": ok,
-            "r_user": result.metrics.R_user,
-            "r_uplink_actual": result.metrics.R_uplink_actual,
+            "r_user": result.metrics.user_to_user_msgs,
+            "r_uplink_actual": result.metrics.server_msgs,
             "r_uplink_required": result.metrics.R_uplink_required,
             "elapsed": round(elapsed, 6),
         }

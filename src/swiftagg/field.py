@@ -4,6 +4,12 @@ Everything here is plain integer math reduced mod p: no floats, no silent
 wraparound, no probabilistic shortcuts.  The rest of the package builds its
 sharing and recovery steps on these primitives, so all of them are exact by
 construction.
+
+A vector keeps its entries packed as 64-bit lanes of one int together with a
+lane bound.  The invariant is: every lane is congruent to its entry mod p,
+and every lane is at most ``bound``, which is below 2**64.  Lanes need not be
+reduced; kernels add and scale them as they are and reduce only when a lane
+could reach 2**64 or when a caller reads the canonical form.
 """
 
 from __future__ import annotations
@@ -79,7 +85,7 @@ class FieldSpec:
         return ModelVector(self, values)
 
     def zeros(self, length: int) -> "ModelVector":
-        return ModelVector._raw(self, (0,) * length)
+        return ModelVector._packed(self, 0, length, 0)
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and self.p == other.p
@@ -140,31 +146,55 @@ class FieldElement:
 
 
 class ModelVector:
-    """A fixed-length vector over one prime field.
+    """A fixed-length vector over one prime field, kept in packed lanes.
 
-    Entries are stored as plain ints in [0, p); the length and field are
-    immutable after construction.
+    ``lanes`` holds entry k in bits [64k, 64k + 64); each lane is congruent
+    to its entry mod p and at most ``bound`` (< 2**64), but need not be
+    reduced.  ``values`` is the tuple of entries in [0, p).  Equality, hash
+    and repr depend only on the entries mod p.  A canonical read may replace
+    the lanes by their reduction in place, which leaves every entry as it is.
     """
 
-    __slots__ = ("field", "values")
+    __slots__ = ("field", "lanes", "length", "bound")
 
     def __init__(self, field: FieldSpec, values: Iterable[int]):
         vals = tuple(int(v) % field.p for v in values)
         if not vals:
             raise ValueError("vector must have length >= 1")
         self.field = field
-        self.values = vals
+        self.lanes = _pack(vals)
+        self.length = len(vals)
+        self.bound = field.p - 1
 
     @classmethod
-    def _raw(cls, field: FieldSpec, values: tuple) -> "ModelVector":
-        # Fast path for internally produced, already-reduced tuples.
+    def _raw(cls, field: FieldSpec, values: Sequence[int]) -> "ModelVector":
+        # Fast path for internally produced, already-reduced entries.
+        return cls._packed(field, _pack(values), len(values), field.p - 1)
+
+    @classmethod
+    def _packed(cls, field: FieldSpec, lanes: int, length: int, bound: int) -> "ModelVector":
+        # Kernel output: lanes congruent to the entries, all at most ``bound``.
         vec = object.__new__(cls)
         vec.field = field
-        vec.values = values
+        vec.lanes = lanes
+        vec.length = length
+        vec.bound = bound
         return vec
 
+    def _canonical(self) -> int:
+        """The lanes reduced to [0, p), stored back in place."""
+        p = self.field.p
+        if self.bound >= p:
+            self.lanes = _reduce(self.lanes, self.length, p, self.bound)
+            self.bound = p - 1
+        return self.lanes
+
+    @property
+    def values(self) -> tuple:
+        return _unpack(self._canonical(), self.length)
+
     def __len__(self):
-        return len(self.values)
+        return self.length
 
     def __getitem__(self, i: int) -> FieldElement:
         return FieldElement(self.field, self.values[i])
@@ -176,11 +206,12 @@ class ModelVector:
         return (
             isinstance(other, ModelVector)
             and self.field.p == other.field.p
-            and self.values == other.values
+            and self.length == other.length
+            and self._canonical() == other._canonical()
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.values))
+        return hash((self.field.p, self.length, self._canonical()))
 
     def __repr__(self):
         return f"ModelVector({list(self.values)} mod {self.field.p})"
@@ -194,10 +225,10 @@ class ModelVector:
 # lanes, entry k in bits [64k, 64k + 64).  Adding packed ints, or multiplying
 # one by a nonnegative scalar, acts lane by lane as long as no lane reaches
 # 2**64, so each linear step of a whole vector is one C-level bigint
-# operation.  Every kernel tracks an exact upper bound on its lanes and
-# reduces before the next step could reach 2**64; because p < 2**32, a
-# reduced operand times a field scalar plus another reduced operand always
-# fits, so one reduction is always enough.
+# operation.  Kernels take packed operands as they are, carry the exact lane
+# bound of their result on the vector, and reduce only before a step could
+# reach 2**64; because p < 2**32, a reduced operand times a field scalar plus
+# another reduced operand always fits, so one reduction is always enough.
 
 _LANE = 1 << 64
 
@@ -218,59 +249,83 @@ def _unpack(packed: int, length: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def _barrett(length: int, p: int) -> tuple:
-    """Masks, multiplier and codec that reduce all lanes below ``2**b`` mod ``p``.
+    """Masks and multipliers that reduce all lanes below ``2**b`` mod ``p``.
 
     With ``m = 2**b // p`` and ``v < 2**b``, ``q = v * m >> b`` is
     ``v // p`` or one less, and ``v * m < 2**64`` keeps the product inside
     its lane; ``b`` is the largest width for which that holds (32 to 48).
+    The last entry is ``2**32 mod p``, which folds wider lanes down.
     """
     b = 64
     while ((1 << b) - 1) * ((1 << b) // p) >= _LANE:
         b -= 1
     ones = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * length, "little")
     low_mask = ones * ((1 << (64 - b)) - 1)
-    return b, (1 << b) // p, low_mask, ones * ((1 << 63) - p), ones, _codec(length)
+    return b, (1 << b) // p, low_mask, ones * ((1 << 63) - p), ones, (1 << 32) % p
 
 
-def _reduce(packed: int, length: int, p: int, bound: int) -> tuple:
-    """Entries mod ``p`` of lanes that are all at most ``bound`` (< 2**64)."""
+def _folded(bound: int, r: int) -> int:
+    """Lane bound after folding lanes at most ``bound`` with ``r = 2**32 mod p``."""
+    return (bound >> 32) * r + 0xFFFFFFFF
+
+
+def _reduce(packed: int, length: int, p: int, bound: int) -> int:
+    """Lanes mod ``p`` of packed lanes that are all at most ``bound`` (< 2**64)."""
     if bound < p:
-        return _unpack(packed, length)
-    b, m, low_mask, offset, ones, codec = _barrett(length, p)
+        return packed
+    b, m, low_mask, offset, ones, r = _barrett(length, p)
     if bound >> b:
-        return tuple(map(p.__rmod__, _unpack(packed, length)))
+        # A lane hi * 2**32 + lo folds to hi * r + lo < 2**32 * p.  When r is
+        # small (2**31 - 1 and 4294967291 among others), at most two folds
+        # reach the Barrett range; otherwise reduce entry by entry.
+        once = _folded(bound, r)
+        if once >> b and _folded(once, r) >> b:
+            return _pack(tuple(map(p.__rmod__, _unpack(packed, length))))
+        low32 = ones * 0xFFFFFFFF
+        while bound >> b:
+            packed = (packed >> 32 & low32) * r + (packed & low32)
+            bound = _folded(bound, r)
     if bound >= 2 * p:
         # Lane-wise Barrett step: every lane drops below 2p.
         packed -= ((packed * m >> b) & low_mask) * p
     # Lanes >= p (bit 63 set after adding 2**63 - p) lose p.
-    packed -= ((packed + offset) >> 63 & ones) * p
-    return codec.unpack(packed.to_bytes(8 * length, "little"))
+    return packed - ((packed + offset) >> 63 & ones) * p
 
 
 def vec_sum(vectors: Sequence[ModelVector]) -> ModelVector:
-    """Field sum of one or more vectors of one field and length, reduced once."""
+    """Field sum of one or more vectors of one field and length.
+
+    The lanes are added as they are; only if the summed bound would reach
+    2**64 are the operands reduced first.
+    """
     if not vectors:
         raise ValueError("need at least one vector to sum")
     field = vectors[0].field
-    length = len(vectors[0].values)
+    length = vectors[0].length
     for v in vectors[1:]:
         _require_same_field(v.field, field)
-        if len(v.values) != length:
-            raise LengthMismatchError(f"lengths {length} and {len(v.values)}")
-    # Fewer than 2**32 operands (all that memory can hold) keep lanes < 2**64.
-    packed = sum([_pack(v.values) for v in vectors])
-    bound = len(vectors) * (field.p - 1)
-    return ModelVector._raw(field, _reduce(packed, length, field.p, bound))
+        if v.length != length:
+            raise LengthMismatchError(f"lengths {length} and {v.length}")
+    bound = sum([v.bound for v in vectors])
+    if bound < _LANE:
+        packed = sum([v.lanes for v in vectors])
+    else:
+        # Fewer than 2**32 operands (all that memory can hold) fit once reduced.
+        packed = sum([v._canonical() for v in vectors])
+        bound = len(vectors) * (field.p - 1)
+    return ModelVector._packed(field, packed, length, bound)
 
 
 def vec_add(a: ModelVector, b: ModelVector) -> ModelVector:
     _require_same_field(a.field, b.field)
-    length = len(a.values)
-    if len(b.values) != length:
-        raise LengthMismatchError(f"lengths {length} and {len(b.values)}")
-    p = a.field.p
-    packed = _pack(a.values) + _pack(b.values)
-    return ModelVector._raw(a.field, _reduce(packed, length, p, 2 * (p - 1)))
+    length = a.length
+    if b.length != length:
+        raise LengthMismatchError(f"lengths {length} and {b.length}")
+    bound = a.bound + b.bound
+    if bound < _LANE:
+        return ModelVector._packed(a.field, a.lanes + b.lanes, length, bound)
+    packed = a._canonical() + b._canonical()
+    return ModelVector._packed(a.field, packed, length, 2 * (a.field.p - 1))
 
 
 class EvalPoint:
@@ -315,35 +370,41 @@ def poly_eval(coeffs: Sequence[ModelVector], x) -> ModelVector:
     if not coeffs:
         raise ValueError("coefficient list must be nonempty")
     field = coeffs[0].field
-    length = len(coeffs[0].values)
+    length = coeffs[0].length
     for c in coeffs[1:]:
         _require_same_field(c.field, field)
-        if len(c.values) != length:
+        if c.length != length:
             raise LengthMismatchError("coefficient vectors differ in length")
-    return _horner(field, [_pack(c.values) for c in coeffs], x, length)
+    return _horner(coeffs, x)
 
 
-def _horner(field: FieldSpec, lanes: Sequence[int], x, length: int) -> ModelVector:
-    """Horner's rule on packed coefficients (lowest degree first, lanes < p) at ``x``."""
+def _horner(coeffs: Sequence[ModelVector], x) -> ModelVector:
+    """Horner's rule at ``x`` on coherent coefficients, lowest degree first.
+
+    Reads the canonical lanes of each coefficient and returns the
+    accumulator unreduced, as a vector carrying its lane bound.
+    """
+    field = coeffs[0].field
+    length = coeffs[0].length
     p = field.p
     top = p - 1
     x = _as_abscissa(x, field)
-    acc = lanes[-1]
+    acc = coeffs[-1]._canonical()
     bound = top
-    for c in reversed(lanes[:-1]):
+    for c in reversed(coeffs[:-1]):
         if bound * x + top >= _LANE:
-            acc = _pack(_reduce(acc, length, p, bound))
+            acc = _reduce(acc, length, p, bound)
             bound = top
-        acc = acc * x + c
+        acc = acc * x + c._canonical()
         bound = bound * x + top
-    return ModelVector._raw(field, _reduce(acc, length, p, bound))
+    return ModelVector._packed(field, acc, length, bound)
 
 
 def _interpolant_at(points: Sequence[tuple], x: int, field: FieldSpec) -> tuple:
-    """Value tuple of the Lagrange interpolant through ``points`` at ``x``."""
+    """Packed lanes and lane bound of the Lagrange interpolant through ``points`` at ``x``."""
     p = field.p
     top = p - 1
-    length = len(points[0][1].values)
+    length = points[0][1].length
     acc = bound = 0
     for i, (alpha_i, y_i) in enumerate(points):
         num = 1
@@ -354,12 +415,15 @@ def _interpolant_at(points: Sequence[tuple], x: int, field: FieldSpec) -> tuple:
             num = num * (x - alpha_j) % p
             den = den * (alpha_i - alpha_j) % p
         w = num * pow(den, -1, p) % p
-        if bound + w * top >= _LANE:
-            acc = _pack(_reduce(acc, length, p, bound))
+        lanes, y_bound = y_i.lanes, y_i.bound
+        if w * y_bound + top >= _LANE:
+            lanes, y_bound = y_i._canonical(), top
+        if bound + w * y_bound >= _LANE:
+            acc = _reduce(acc, length, p, bound)
             bound = top
-        acc += w * _pack(y_i.values)
-        bound += w * top
-    return _reduce(acc, length, p, bound)
+        acc += w * lanes
+        bound += w * y_bound
+    return acc, bound
 
 
 def lagrange_interpolate_at_zero(points, degree_bound: int) -> ModelVector:
@@ -377,12 +441,12 @@ def lagrange_interpolate_at_zero(points, degree_bound: int) -> ModelVector:
     if not pts:
         raise InsufficientPointsError("no points supplied")
     field = pts[0][1].field
-    length = len(pts[0][1].values)
+    length = pts[0][1].length
     norm = []
     seen = set()
     for x, y in pts:
         _require_same_field(y.field, field)
-        if len(y.values) != length:
+        if y.length != length:
             raise LengthMismatchError("point values differ in length")
         alpha = _as_abscissa(x, field)
         if alpha == 0:
@@ -398,9 +462,12 @@ def lagrange_interpolate_at_zero(points, degree_bound: int) -> ModelVector:
             f"need {need} points for degree {degree_bound}, got {len(norm)}"
         )
     base = norm[:need]
+    p = field.p
     for alpha, y in norm[need:]:
-        if _interpolant_at(base, alpha, field) != y.values:
+        acc, bound = _interpolant_at(base, alpha, field)
+        if _reduce(acc, length, p, bound) != y._canonical():
             raise ConsistencyError(
                 f"point at x={alpha} disagrees with the degree-{degree_bound} interpolant"
             )
-    return ModelVector._raw(field, _interpolant_at(base, 0, field))
+    acc, bound = _interpolant_at(base, 0, field)
+    return ModelVector._packed(field, _reduce(acc, length, p, bound), length, p - 1)

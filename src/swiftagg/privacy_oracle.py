@@ -202,7 +202,7 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     timings = dict(instance.plan.timings)
 
     columns = _enumerated(spec, instance.noise_symbol_count, zero_noise)
-    width = len(columns[0].values)
+    width = len(columns[0])
     # Slot (uid, j) is entry (uid - 1) * T + j of every noise assignment.
     noise = {
         uid: columns[(uid - 1) * params.t : uid * params.t]
@@ -334,7 +334,7 @@ def check_noise_chain_independence(
     else:
         free_users = list(range(1, params.n + 1))
     columns = _enumerated(spec, len(free_users) * params.t)
-    total = len(columns[0].values)
+    total = len(columns[0])
     noise = {
         uid: columns[i * params.t : (i + 1) * params.t]
         for i, uid in enumerate(free_users)

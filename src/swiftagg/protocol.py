@@ -278,16 +278,17 @@ class MessageLog:
     def __getitem__(self, i):
         return self.messages[i]
 
-    def _name(self, pos: Optional[GroupPosition]) -> str:
-        if pos is None:
-            return "server"
-        if self.user_of is None:
-            return str(pos)
-        return f"u{self.user_of[pos]}{pos}"
-
     def to_lines(self) -> list[str]:
+        # Each position's printed name is resolved once per call.
+        if self.user_of is None:
+            def name(pos):
+                return "server" if pos is None else str(pos)
+        else:
+            names = {pos: f"u{uid}{pos}" for pos, uid in self.user_of.items()}
+            names[None] = "server"
+            name = names.__getitem__
         return [
-            f"{m.phase} from={self._name(m.sender)} to={self._name(m.recipient)} "
+            f"{m.phase} from={name(m.sender)} to={name(m.recipient)} "
             f"t={m.t} payload={payload_digest(m.payload)}"
             for m in self.messages
         ]
@@ -431,7 +432,7 @@ def _validate_run_inputs(params, models, noise, timings):
     for m in models:
         if m.field.p != params.field.p:
             raise ValueError("model vector lies in the wrong field")
-        if len(m.values) != params.model_len:
+        if len(m) != params.model_len:
             raise ValueError("model vector has the wrong length")
     DropoutPlan(timings).validate_for(params)
     for uid in range(1, params.n + 1):

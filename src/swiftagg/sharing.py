@@ -20,7 +20,7 @@ from .errors import (
     MixedFieldError,
     ZeroEvaluationPointError,
 )
-from .field import FieldSpec, ModelVector, _as_abscissa, _horner, _pack
+from .field import FieldSpec, ModelVector, _as_abscissa, _horner
 
 
 def derive_subseed(seed: int, label) -> int:
@@ -73,30 +73,28 @@ class SharePolynomial:
     """Coefficients [model, noise_1, ..., noise_T]; evaluates exactly.
 
     Coefficient coherence (one field, one length) is checked once here, so
-    evaluation runs the field module's Horner kernel directly; shares are the
-    hot path of every simulated run and of the exhaustive privacy
-    enumeration.  The coefficients are packed into lanes once, here, for
-    all ``t + d + 1`` evaluations of a group.
+    evaluation runs the field module's Horner kernel directly on the packed
+    coefficients; shares are the hot path of every simulated run and of the
+    exhaustive privacy enumeration.
     """
 
-    __slots__ = ("coeffs", "_lanes")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[ModelVector]):
         coeffs = tuple(coeffs)
         if len(coeffs) < 1:
             raise ValueError("polynomial needs at least the constant term")
         field = coeffs[0].field
-        length = len(coeffs[0].values)
+        length = len(coeffs[0])
         for c in coeffs[1:]:
             if c.field.p != field.p:
                 raise MixedFieldError("coefficient vectors lie in different fields")
-            if len(c.values) != length:
+            if len(c) != length:
                 raise LengthMismatchError("coefficient vectors differ in length")
         self.coeffs = coeffs
-        self._lanes = [_pack(c.values) for c in coeffs]
 
     def eval(self, x) -> ModelVector:
-        return _horner(self.coeffs[0].field, self._lanes, x, len(self.coeffs[0].values))
+        return _horner(self.coeffs, x)
 
 
 def build_polynomial(model: ModelVector, noise, collusion_bound: int) -> SharePolynomial:
@@ -111,7 +109,7 @@ def build_polynomial(model: ModelVector, noise, collusion_bound: int) -> SharePo
             f"expected {collusion_bound} noise vectors, got {len(noise)}"
         )
     for z in noise:
-        if z.field.p != model.field.p or len(z.values) != len(model.values):
+        if z.field.p != model.field.p or len(z) != len(model):
             raise ArityMismatchError("noise vectors must match the model's field and length")
     return SharePolynomial((model,) + noise)
 

@@ -124,20 +124,8 @@ class RunMetrics:
 
     user_to_user_msgs: int
     server_msgs: int
-    R_user: int
     R_uplink_required: int
-    R_uplink_actual: int
     max_user_outbound_elems: int
-
-    def to_json(self) -> dict:
-        return {
-            "user_to_user_msgs": self.user_to_user_msgs,
-            "server_msgs": self.server_msgs,
-            "R_user": self.R_user,
-            "R_uplink_required": self.R_uplink_required,
-            "R_uplink_actual": self.R_uplink_actual,
-            "max_user_outbound_elems": self.max_user_outbound_elems,
-        }
 
 
 def count_loads(log: MessageLog, params: ProtocolParams) -> RunMetrics:
@@ -158,9 +146,7 @@ def count_loads(log: MessageLog, params: ProtocolParams) -> RunMetrics:
     return RunMetrics(
         user_to_user_msgs=user_to_user,
         server_msgs=server,
-        R_user=user_to_user,
         R_uplink_required=params.t + 1,
-        R_uplink_actual=server,
         max_user_outbound_elems=max(outbound.values(), default=0),
     )
 

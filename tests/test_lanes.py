@@ -3,7 +3,10 @@
 Every vector operation of ``swiftagg.field`` runs on 64-bit lanes of one
 Python int and reduces only when a lane could overflow.  These tests compare
 it with per-entry arithmetic mod p, including the largest allowed prime,
-where a missed reduction would wrap a lane.
+where a missed reduction would wrap a lane.  Kernel outputs stay unreduced:
+their lanes are congruent to the entries mod p and at most the vector's
+``bound``, which is below 2**64; the tests below feed such vectors onward
+as they are.
 """
 
 import os
@@ -16,19 +19,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swiftagg.field
 from swiftagg.field import (
     FieldSpec,
+    ModelVector,
     _barrett,
     _pack,
     _reduce,
+    _unpack,
     lagrange_interpolate_at_zero,
     poly_eval,
     vec_add,
     vec_sum,
 )
-from swiftagg.sharing import SharePolynomial, sample_noise, uniform_element
+from swiftagg.protocol import AFTER_SHARING, ProtocolParams, execute_protocol
+from swiftagg.sharing import SharePolynomial, sample_noise, share_for, uniform_element
 
 PRIMES = [2, 3, 101, (1 << 31) - 1, 4294967291]
+# Bounded profile for the tests that chain whole kernels.
+CHAINED = settings(max_examples=60, deadline=None)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -105,11 +114,12 @@ def test_interpolation_recovers_constant_term(data, pick):
 @pytest.mark.parametrize("p", PRIMES)
 def test_reduce_at_the_edges_of_each_path(p):
     # Bounds below 2p take one conditional subtraction, bounds below 2**b a
-    # Barrett step first, and larger bounds the per-entry fallback.
+    # Barrett step first, and larger bounds a 32-bit fold (p = 2, 101 and the
+    # two large primes) or the per-entry fallback (p = 3).
     b = _barrett(5, p)[0]
     for bound in (p, 2 * p - 1, 2 * p, (1 << b) - 1, 1 << b, (1 << 64) - 1):
         lanes = [bound, bound - 1, bound // 2, p - 1, 0]
-        assert _reduce(_pack(lanes), 5, p, bound) == tuple(v % p for v in lanes)
+        assert _unpack(_reduce(_pack(lanes), 5, p, bound), 5) == tuple(v % p for v in lanes)
 
 
 def test_mid_horner_reduction_at_largest_prime():
@@ -156,3 +166,166 @@ def test_simulation_does_not_import_numpy():
         timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# The lane-bound invariant across chained kernels
+# ---------------------------------------------------------------------------
+
+
+def assert_lanes(vec, expected):
+    """``vec`` keeps the invariant and holds ``expected``, read without reducing it."""
+    p = vec.field.p
+    lanes = _unpack(vec.lanes, vec.length)
+    assert vec.bound < 1 << 64
+    assert max(lanes) <= vec.bound
+    assert tuple(v % p for v in lanes) == tuple(expected)
+
+
+def evaluated(f, rows, x):
+    poly = SharePolynomial([f.vector(r) for r in rows])
+    return share_for(poly, x) if x else poly.eval(x)
+
+
+@st.composite
+def unreduced_shares(draw, max_count):
+    """Shares as ``share_for``/``SharePolynomial.eval`` return them, with references.
+
+    Each share comes from its own polynomial of degree 0 to 6 at its own
+    abscissa in [0, p), half of them at p - 1, where lane bounds grow
+    fastest.
+    """
+    p = draw(st.sampled_from(PRIMES))
+    length = draw(st.integers(1, 16))
+    count = draw(st.integers(1, max_count))
+    top_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    f = FieldSpec(p)
+    shares, expected = [], []
+    for _ in range(count):
+        rows = [
+            [p - 1 if rng.random() < top_share else rng.randrange(p) for _ in range(length)]
+            for _ in range(rng.randint(1, 7))
+        ]
+        x = p - 1 if rng.random() < 0.5 else rng.randrange(p)
+        shares.append(evaluated(f, rows, x))
+        expected.append(ref_eval(rows, x, p))
+    return f, shares, expected
+
+
+@CHAINED
+@given(data=unreduced_shares(64))
+def test_unreduced_shares_sum(data):
+    f, shares, expected = data
+    for share, exp in zip(shares, expected):
+        assert_lanes(share, exp)
+    total = vec_sum(shares)
+    assert_lanes(total, ref_sum(expected, f.p))
+    assert total.values == ref_sum(expected, f.p)
+
+
+@CHAINED
+@given(data=unreduced_shares(12))
+def test_unreduced_shares_chain_through_vec_add(data):
+    f, shares, expected = data
+    acc, ref = shares[0], expected[0]
+    for share, exp in zip(shares[1:], expected[1:]):
+        acc, ref = vec_add(acc, share), ref_sum([ref, exp], f.p)
+        assert_lanes(acc, ref)
+    assert acc.values == tuple(ref)
+
+
+@CHAINED
+@given(data=unreduced_shares(7), pick=st.data())
+def test_horner_on_unreduced_coefficients(data, pick):
+    # Shares as coefficients: Horner must read them reduced, since its bound
+    # assumes coefficient lanes below p.
+    f, shares, expected = data
+    x = pick.draw(abscissa(f.p))
+    assert poly_eval(shares, x).values == ref_eval(expected, x, f.p)
+    assert SharePolynomial(shares).eval(x).values == ref_eval(expected, x, f.p)
+
+
+@CHAINED
+@given(data=unreduced_shares(8))
+def test_unreduced_vectors_compare_and_hash_by_entries(data):
+    f, shares, expected = data
+    for share, exp in zip(shares, expected):
+        twin = ModelVector._packed(f, share.lanes, share.length, share.bound)
+        assert hash(share) == hash(f.vector(exp))
+        assert twin == f.vector(exp)
+        assert share == f.vector(share.values)
+        assert hash(share) == hash(f.vector(share.values))
+        assert twin != f.vector([exp[0] + 1] + list(exp[1:]))
+
+
+@CHAINED
+@given(pick=st.data())
+def test_interpolation_of_unreduced_share_sums(pick):
+    # Like the protocol: each point's value is a sum of unreduced shares of
+    # several polynomials, and the constant terms' sum is recovered.
+    p = pick.draw(st.sampled_from([101, (1 << 31) - 1, 4294967291]))
+    f = FieldSpec(p)
+    rng = random.Random(pick.draw(st.integers(0, 2**32)))
+    length = pick.draw(st.integers(1, 16))
+    degree = pick.draw(st.integers(0, 6))
+    polys = [
+        [[rng.randrange(p) for _ in range(length)] for _ in range(degree + 1)]
+        for _ in range(pick.draw(st.integers(1, 4)))
+    ]
+    count = degree + 1 + pick.draw(st.integers(0, 3))
+    high = pick.draw(st.booleans())
+    xs = [p - 1 - k for k in range(count)] if high else list(range(1, count + 1))
+    points = []
+    for x in xs:
+        y = vec_sum([evaluated(f, rows, x) for rows in polys])
+        assert_lanes(y, ref_sum([ref_eval(rows, x, p) for rows in polys], p))
+        points.append((x, y))
+    recovered = lagrange_interpolate_at_zero(points, degree)
+    assert recovered.bound == p - 1
+    assert recovered.values == ref_sum([rows[0] for rows in polys], p)
+
+
+def test_vec_add_reduces_two_horner_outputs_that_would_overflow():
+    # At p = 4294967291 and x = p - 1 one Horner step leaves a bound of
+    # p * (p - 1), just below 2**64, so the sum of two such shares must not
+    # be formed before both are reduced.
+    p = 4294967291
+    f = FieldSpec(p)
+    rows_a = [[p - 1, 3, 0], [p - 1, p - 1, 7]]
+    rows_b = [[p - 1, 1, p - 2], [p - 1, 5, p - 1]]
+    a, b = evaluated(f, rows_a, p - 1), evaluated(f, rows_b, p - 1)
+    assert a.bound == b.bound == p * (p - 1)
+    assert a.bound + b.bound >= 1 << 64
+    expected = ref_sum([ref_eval(rows_a, p - 1, p), ref_eval(rows_b, p - 1, p)], p)
+    total = vec_add(a, b)
+    assert_lanes(total, expected)
+    assert total.values == expected
+
+
+def test_protocol_run_never_unpacks_until_the_result_is_read(monkeypatch):
+    # Shares, share sums, sequence hops and recovery all stay packed: the
+    # only unpack of a whole run is the caller's read of the result.
+    calls = []
+    unpack = swiftagg.field._unpack
+
+    def counted(packed, length):
+        calls.append(length)
+        return unpack(packed, length)
+
+    p, length = (1 << 31) - 1, 2048
+    f = FieldSpec(p)
+    params = ProtocolParams(12, 2, 1, length, f)
+    rng = random.Random(11)
+    rows = [[rng.randrange(p) for _ in range(length)] for _ in range(params.n)]
+    models = [f.vector(r) for r in rows]
+    noise = {
+        uid: sample_noise(f, params.t, length, random.Random(uid))
+        for uid in range(1, params.n + 1)
+    }
+    monkeypatch.setattr(swiftagg.field, "_unpack", counted)
+    run = execute_protocol(params, models, noise, {5: AFTER_SHARING})
+    assert calls == []
+    values = run.recovered.values
+    assert calls == [length]
+    assert values == ref_sum(rows, p)
