@@ -30,7 +30,6 @@ from .field import (
     FieldSpec,
     ModelVector,
     lagrange_interpolate_at_zero,
-    poly_eval,
     vec_add,
     vec_sum,
 )

@@ -43,6 +43,8 @@ DEFAULTS = {
     "format": "json",
     "shuffle_groups": False,
 }
+# Every key a config file may set: the long flags of ``run`` without --config.
+CONFIG_KEYS = frozenset(DEFAULTS) | {"n", "t", "d", "drop", "adversary"}
 
 
 @dataclass
@@ -60,7 +62,7 @@ class RunConfig:
 def _parse_config_file(path: str) -> dict:
     values = {}
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -68,8 +70,11 @@ def _parse_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"config: line {lineno} is not key=value: {line!r}")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
-    except OSError as exc:
+                key = key.strip()
+                if key not in CONFIG_KEYS:
+                    raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
+                values[key] = value.strip()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     return values
 

@@ -9,7 +9,8 @@ A vector keeps its entries packed as 64-bit lanes of one int together with a
 lane bound.  The invariant is: every lane is congruent to its entry mod p,
 and every lane is at most ``bound``, which is below 2**64.  Lanes need not be
 reduced; kernels add and scale them as they are and reduce only when a lane
-could reach 2**64 or when a caller reads the canonical form.
+could reach 2**64 or when a caller reads the canonical form.  A reduction is
+lane-wise for every prime and every bound: it never unpacks the vector.
 """
 
 from __future__ import annotations
@@ -85,6 +86,8 @@ class FieldSpec:
         return ModelVector(self, values)
 
     def zeros(self, length: int) -> "ModelVector":
+        if length < 1:
+            raise ValueError("vector must have length >= 1")
         return ModelVector._packed(self, 0, length, 0)
 
     def __eq__(self, other):
@@ -249,44 +252,45 @@ def _unpack(packed: int, length: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def _barrett(length: int, p: int) -> tuple:
-    """Masks and multipliers that reduce all lanes below ``2**b`` mod ``p``.
+    """Masks and multipliers that reduce all lanes mod ``p``.
 
     With ``m = 2**b // p`` and ``v < 2**b``, ``q = v * m >> b`` is
     ``v // p`` or one less, and ``v * m < 2**64`` keeps the product inside
     its lane; ``b`` is the largest width for which that holds (32 to 48).
-    The last entry is ``2**32 mod p``, which folds wider lanes down.
+    The last entry, ``even``, selects the low lane of every 128-bit slot;
+    ``_reduce`` uses it to give each lane of a wider bound a slot of its own.
     """
     b = 64
     while ((1 << b) - 1) * ((1 << b) // p) >= _LANE:
         b -= 1
     ones = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * length, "little")
     low_mask = ones * ((1 << (64 - b)) - 1)
-    return b, (1 << b) // p, low_mask, ones * ((1 << 63) - p), ones, (1 << 32) % p
-
-
-def _folded(bound: int, r: int) -> int:
-    """Lane bound after folding lanes at most ``bound`` with ``r = 2**32 mod p``."""
-    return (bound >> 32) * r + 0xFFFFFFFF
+    even = int.from_bytes((b"\xff" * 8 + b"\x00" * 8) * ((length + 1) // 2), "little")
+    return b, (1 << b) // p, low_mask, ones * ((1 << 63) - p), ones, even
 
 
 def _reduce(packed: int, length: int, p: int, bound: int) -> int:
-    """Lanes mod ``p`` of packed lanes that are all at most ``bound`` (< 2**64)."""
+    """Lanes mod ``p`` of packed lanes that are all at most ``bound`` (< 2**64).
+
+    Lanes below ``2**b`` take the lane-wise Barrett step of ``_barrett``.
+    Wider lanes are split into their even and odd halves, one lane per
+    128-bit slot, and take the same step at width 64: with
+    ``m = 2**64 // p`` and ``v < 2**64``, ``v * m < 2**128`` fits its slot
+    and ``q = v * m >> 64`` is ``v // p`` or one less, so ``v - q * p`` lies
+    in ``[0, 2p)``.  Either step leaves every lane below ``2p``, and one
+    conditional subtraction finishes.
+    """
     if bound < p:
         return packed
-    b, m, low_mask, offset, ones, r = _barrett(length, p)
+    b, m, low_mask, offset, ones, even = _barrett(length, p)
     if bound >> b:
-        # A lane hi * 2**32 + lo folds to hi * r + lo < 2**32 * p.  When r is
-        # small (2**31 - 1 and 4294967291 among others), at most two folds
-        # reach the Barrett range; otherwise reduce entry by entry.
-        once = _folded(bound, r)
-        if once >> b and _folded(once, r) >> b:
-            return _pack(tuple(map(p.__rmod__, _unpack(packed, length))))
-        low32 = ones * 0xFFFFFFFF
-        while bound >> b:
-            packed = (packed >> 32 & low32) * r + (packed & low32)
-            bound = _folded(bound, r)
-    if bound >= 2 * p:
-        # Lane-wise Barrett step: every lane drops below 2p.
+        m64 = _LANE // p
+        lo = packed & even
+        hi = packed >> 64 & even
+        lo -= ((lo * m64 >> 64) & even) * p
+        hi -= ((hi * m64 >> 64) & even) * p
+        packed = lo | hi << 64
+    elif bound >= 2 * p:
         packed -= ((packed * m >> b) & low_mask) * p
     # Lanes >= p (bit 63 set after adding 2**63 - p) lose p.
     return packed - ((packed + offset) >> 63 & ones) * p
@@ -363,19 +367,6 @@ def _as_abscissa(x, field: FieldSpec) -> int:
         _require_same_field(x.field, field)
         return x.value
     return int(x) % field.p
-
-
-def poly_eval(coeffs: Sequence[ModelVector], x) -> ModelVector:
-    """Evaluate a vector-coefficient polynomial at ``x`` by Horner's rule."""
-    if not coeffs:
-        raise ValueError("coefficient list must be nonempty")
-    field = coeffs[0].field
-    length = coeffs[0].length
-    for c in coeffs[1:]:
-        _require_same_field(c.field, field)
-        if c.length != length:
-            raise LengthMismatchError("coefficient vectors differ in length")
-    return _horner(coeffs, x)
 
 
 def _horner(coeffs: Sequence[ModelVector], x) -> ModelVector:

@@ -41,7 +41,6 @@ from .errors import (
     WrongSequenceError,
 )
 from .field import (
-    EvalPoint,
     FieldSpec,
     ModelVector,
     lagrange_interpolate_at_zero,
@@ -262,9 +261,9 @@ class MessageLog:
 
     __slots__ = ("messages", "user_of")
 
-    def __init__(self, user_of: Optional[Mapping[GroupPosition, int]] = None):
+    def __init__(self, user_of: Mapping[GroupPosition, int]):
         self.messages: list[ProtocolMessage] = []
-        self.user_of = dict(user_of) if user_of else None
+        self.user_of = dict(user_of)
 
     def append(self, msg: ProtocolMessage) -> None:
         self.messages.append(msg)
@@ -280,13 +279,9 @@ class MessageLog:
 
     def to_lines(self) -> list[str]:
         # Each position's printed name is resolved once per call.
-        if self.user_of is None:
-            def name(pos):
-                return "server" if pos is None else str(pos)
-        else:
-            names = {pos: f"u{uid}{pos}" for pos, uid in self.user_of.items()}
-            names[None] = "server"
-            name = names.__getitem__
+        names = {pos: f"u{uid}{pos}" for pos, uid in self.user_of.items()}
+        names[None] = "server"
+        name = names.__getitem__
         return [
             f"{m.phase} from={name(m.sender)} to={name(m.recipient)} "
             f"t={m.t} payload={payload_digest(m.payload)}"
@@ -406,11 +401,7 @@ class ServerState:
                 f"only {len(self.uploads)} uploads arrived; "
                 f"recovery needs at least {params.t + 1}"
             )
-        points = [
-            (EvalPoint(params.field, t), payload)
-            for t, payload in sorted(self.uploads.items())
-        ]
-        self.recovered = lagrange_interpolate_at_zero(points, params.t)
+        self.recovered = lagrange_interpolate_at_zero(sorted(self.uploads.items()), params.t)
         return self.recovered
 
 
@@ -482,7 +473,8 @@ def execute_protocol(
         group.sort()
 
     # Phase 1: every sharing user sends one share per groupmate; its own
-    # point is evaluated locally.  Silent victims leave null slots.
+    # point is evaluated locally.  Silent victims leave null slots, and each
+    # groupmate presumes the missing share to be zero.
     for uid in range(1, params.n + 1):
         sender = users[uid]
         pos = sender.position
@@ -494,17 +486,11 @@ def execute_protocol(
                 continue
             if poly is None:
                 log.append(Null(PHASE_INTRA, pos, peer_pos, t2))
+                users[peer_uid].mark_missing(pos.t, zero)
             else:
                 payload = share_for(poly, t2)
                 log.append(IntraShare(pos, peer_pos, payload))
                 users[peer_uid].receive_share(pos.t, payload)
-
-    for uid in range(1, params.n + 1):
-        if timings.get(uid) != BEFORE_SHARING:
-            continue
-        pos = users[uid].position
-        for _, peer_uid, _ in members[pos.gamma]:
-            users[peer_uid].mark_missing(pos.t, zero)
 
     for uid in range(1, params.n + 1):
         timing = timings.get(uid)
@@ -516,25 +502,20 @@ def execute_protocol(
             # Shares are already out; the user goes silent before forwarding.
             users[uid].alive = False
 
-    # Phase 2: partial sums advance one group hop at a time (a user cannot
-    # forward before its upstream slot resolved); senders in id order.
-    delivered: dict[int, ProtocolMessage] = {}
-    for gamma in range(1, num_groups):
-        next_uid_by_t = {t2: peer_uid for t2, peer_uid, _ in members[gamma + 1]}
-        for uid in sorted(uid for _, uid, _ in members[gamma]):
-            pos = users[uid].position
-            incoming = delivered.pop(uid, None) if gamma > 1 else None
-            msg = users[uid].step_sequence(incoming, num_groups)
-            log.append(msg)
-            delivered[next_uid_by_t[pos.t]] = msg
-
-    # Phase 3: the last group uploads.
+    # Phases 2 and 3: partial sums advance one group hop at a time (a user
+    # cannot forward before its upstream slot resolved), senders in id
+    # order; the last group uploads to the server.
     server = ServerState()
-    for uid in sorted(uid for _, uid, _ in members[num_groups]):
-        incoming = delivered.pop(uid, None) if num_groups > 1 else None
-        msg = users[uid].step_sequence(incoming, num_groups)
-        log.append(msg)
-        server.receive(msg)
+    delivered: dict[int, ProtocolMessage] = {}
+    for gamma in range(1, num_groups + 1):
+        next_uid_by_t = {t2: peer_uid for t2, peer_uid, _ in members.get(gamma + 1, ())}
+        for uid in sorted(uid for _, uid, _ in members[gamma]):
+            msg = users[uid].step_sequence(delivered.pop(uid, None), num_groups)
+            log.append(msg)
+            if gamma == num_groups:
+                server.receive(msg)
+            else:
+                delivered[next_uid_by_t[msg.t]] = msg
 
     recovered = server.recover(params)
     contributors = frozenset(

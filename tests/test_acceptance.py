@@ -14,7 +14,6 @@ from pathlib import Path
 from swiftagg.field import (
     FieldSpec,
     lagrange_interpolate_at_zero,
-    poly_eval,
     vec_add,
 )
 from swiftagg.privacy_oracle import (
@@ -33,6 +32,7 @@ from swiftagg.protocol import (
     ServerUpload,
     run_protocol,
 )
+from swiftagg.sharing import SharePolynomial
 from swiftagg.simnet import AdversaryConfig, DropoutPlan, simulate
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -196,7 +196,8 @@ def test_criterion_6_field_layer_round_trips():
             for _ in range(degree + 1)
         ]
         alphas = rng.sample(range(1, p), degree + 1)
-        points = [(a, poly_eval(coeffs, a)) for a in alphas]
+        poly = SharePolynomial(coeffs)
+        points = [(a, poly.eval(a)) for a in alphas]
         assert lagrange_interpolate_at_zero(points, degree) == coeffs[0]
 
     # field-axiom spot suite on random triples

@@ -144,6 +144,32 @@ def test_config_file_bad_line(tmp_path, capsys):
     assert "config:" in err
 
 
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"n=6\n\xff\xfe=1\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run(
+        [sys.executable, "-m", "swiftagg", "run", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "config:" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_config_file_unknown_key(tmp_path, capsys):
+    path = tmp_path / "typo.cfg"
+    path.write_text("n=6\nt=1\nd=1\nmodellen=3\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "config: line 4: unknown key 'modellen'" in err
+
+
 def test_config_file_bad_drop_rate(tmp_path, capsys):
     path = tmp_path / "rate.cfg"
     path.write_text("n=6\nt=1\nd=1\ndrop_rate=abc\n")

@@ -18,9 +18,9 @@ from swiftagg.field import (
     ModelVector,
     is_prime,
     lagrange_interpolate_at_zero,
-    poly_eval,
     vec_add,
 )
+from swiftagg.sharing import SharePolynomial
 
 PRIMES = [5, 7, 11, 101, (1 << 31) - 1]
 
@@ -131,12 +131,12 @@ def test_vec_add_mixed_field():
 def test_poly_eval_examples():
     f7 = FieldSpec(7)
     coeffs = [f7.vector([3]), f7.vector([2])]
-    assert poly_eval(coeffs, 0).values == (3,)
-    assert poly_eval(coeffs, 2).values == (0,)  # 3 + 2*2 = 7
+    assert SharePolynomial(coeffs).eval(0).values == (3,)
+    assert SharePolynomial(coeffs).eval(2).values == (0,)  # 3 + 2*2 = 7
     f5 = FieldSpec(5)
     constant = [f5.vector([4]), f5.zeros(1), f5.zeros(1)]
     for x in range(5):
-        assert poly_eval(constant, x).values == (4,)
+        assert SharePolynomial(constant).eval(x).values == (4,)
 
 
 def test_poly_eval_at_zero_is_constant_term():
@@ -144,7 +144,7 @@ def test_poly_eval_at_zero_is_constant_term():
     for p in PRIMES:
         f = FieldSpec(p)
         coeffs = [f.vector([rng.randrange(p) for _ in range(4)]) for _ in range(3)]
-        assert poly_eval(coeffs, 0) == coeffs[0]
+        assert SharePolynomial(coeffs).eval(0) == coeffs[0]
 
 
 def test_eval_point_rejects_zero():
@@ -171,7 +171,7 @@ def test_interpolate_round_trip_against_poly_eval():
     rng = random.Random(11)
     f = FieldSpec(101)
     coeffs = [f.vector([rng.randrange(101) for _ in range(2)]) for _ in range(3)]
-    pts = [(alpha, poly_eval(coeffs, alpha)) for alpha in (1, 2, 3)]
+    pts = [(alpha, SharePolynomial(coeffs).eval(alpha)) for alpha in (1, 2, 3)]
     assert lagrange_interpolate_at_zero(pts, 2) == coeffs[0]
 
 
@@ -182,7 +182,7 @@ def test_interpolate_round_trip_all_primes():
         degree = rng.randrange(1, min(4, p - 1))
         coeffs = [f.vector([rng.randrange(p)]) for _ in range(degree + 1)]
         alphas = rng.sample(range(1, min(p, 10_000)), degree + 1)
-        pts = [(a, poly_eval(coeffs, a)) for a in alphas]
+        pts = [(a, SharePolynomial(coeffs).eval(a)) for a in alphas]
         assert lagrange_interpolate_at_zero(pts, degree) == coeffs[0]
 
 
@@ -200,11 +200,19 @@ def test_interpolate_checks_surplus_consistency():
     f = FieldSpec(11)
     rng = random.Random(5)
     coeffs = [f.vector([rng.randrange(11)]) for _ in range(2)]
-    pts = [(a, poly_eval(coeffs, a)) for a in (1, 2, 3)]
+    pts = [(a, SharePolynomial(coeffs).eval(a)) for a in (1, 2, 3)]
     assert lagrange_interpolate_at_zero(pts, 1) == coeffs[0]
     bad = pts[:2] + [(3, vec_add(pts[2][1], f.vector([1])))]
     with pytest.raises(ConsistencyError):
         lagrange_interpolate_at_zero(bad, 1)
+
+
+def test_zeros_rejects_the_lengths_the_constructor_rejects():
+    f = FieldSpec(7)
+    assert f.zeros(3).values == (0, 0, 0)
+    for length in (0, -1):
+        with pytest.raises(ValueError, match="vector must have length >= 1"):
+            f.zeros(length)
 
 
 def test_vector_entries_reduced_and_immutable():

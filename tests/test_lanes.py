@@ -28,14 +28,14 @@ from swiftagg.field import (
     _reduce,
     _unpack,
     lagrange_interpolate_at_zero,
-    poly_eval,
     vec_add,
     vec_sum,
 )
 from swiftagg.protocol import AFTER_SHARING, ProtocolParams, execute_protocol
 from swiftagg.sharing import SharePolynomial, sample_noise, share_for, uniform_element
 
-PRIMES = [2, 3, 101, (1 << 31) - 1, 4294967291]
+# 2147483659 has a large 2**32 mod p (2147483637).
+PRIMES = [2, 3, 101, (1 << 31) - 1, 2147483659, 4294967291]
 # Bounded profile for the tests that chain whole kernels.
 CHAINED = settings(max_examples=60, deadline=None)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -82,9 +82,7 @@ def test_horner_matches_reference(data, pick):
     x = pick.draw(abscissa(p))
     f = FieldSpec(p)
     coeffs = [f.vector(r) for r in rows]
-    expected = ref_eval(rows, x, p)
-    assert poly_eval(coeffs, x).values == expected
-    assert SharePolynomial(coeffs).eval(x).values == expected
+    assert SharePolynomial(coeffs).eval(x).values == ref_eval(rows, x, p)
 
 
 @settings(max_examples=150, deadline=None)
@@ -114,8 +112,8 @@ def test_interpolation_recovers_constant_term(data, pick):
 @pytest.mark.parametrize("p", PRIMES)
 def test_reduce_at_the_edges_of_each_path(p):
     # Bounds below 2p take one conditional subtraction, bounds below 2**b a
-    # Barrett step first, and larger bounds a 32-bit fold (p = 2, 101 and the
-    # two large primes) or the per-entry fallback (p = 3).
+    # lane-wise Barrett step first, and larger bounds the same step at width
+    # 64 on the even and odd lanes apart.
     b = _barrett(5, p)[0]
     for bound in (p, 2 * p - 1, 2 * p, (1 << b) - 1, 1 << b, (1 << 64) - 1):
         lanes = [bound, bound - 1, bound // 2, p - 1, 0]
@@ -130,9 +128,7 @@ def test_mid_horner_reduction_at_largest_prime():
     for degree in (2, 3, 6):
         rows = [[p - 1] * 5 for _ in range(degree + 1)]
         coeffs = [f.vector(r) for r in rows]
-        expected = ref_eval(rows, p - 1, p)
-        assert poly_eval(coeffs, p - 1).values == expected
-        assert SharePolynomial(coeffs).eval(p - 1).values == expected
+        assert SharePolynomial(coeffs).eval(p - 1).values == ref_eval(rows, p - 1, p)
 
 
 @pytest.mark.parametrize("p", [101, (1 << 31) - 1])
@@ -242,7 +238,6 @@ def test_horner_on_unreduced_coefficients(data, pick):
     # assumes coefficient lanes below p.
     f, shares, expected = data
     x = pick.draw(abscissa(f.p))
-    assert poly_eval(shares, x).values == ref_eval(expected, x, f.p)
     assert SharePolynomial(shares).eval(x).values == ref_eval(expected, x, f.p)
 
 
@@ -264,7 +259,7 @@ def test_unreduced_vectors_compare_and_hash_by_entries(data):
 def test_interpolation_of_unreduced_share_sums(pick):
     # Like the protocol: each point's value is a sum of unreduced shares of
     # several polynomials, and the constant terms' sum is recovered.
-    p = pick.draw(st.sampled_from([101, (1 << 31) - 1, 4294967291]))
+    p = pick.draw(st.sampled_from([101, (1 << 31) - 1, 2147483659, 4294967291]))
     f = FieldSpec(p)
     rng = random.Random(pick.draw(st.integers(0, 2**32)))
     length = pick.draw(st.integers(1, 16))
@@ -303,7 +298,8 @@ def test_vec_add_reduces_two_horner_outputs_that_would_overflow():
     assert total.values == expected
 
 
-def test_protocol_run_never_unpacks_until_the_result_is_read(monkeypatch):
+@pytest.mark.parametrize("p", [(1 << 31) - 1, 2147483659])
+def test_protocol_run_never_unpacks_until_the_result_is_read(monkeypatch, p):
     # Shares, share sums, sequence hops and recovery all stay packed: the
     # only unpack of a whole run is the caller's read of the result.
     calls = []
@@ -313,7 +309,7 @@ def test_protocol_run_never_unpacks_until_the_result_is_read(monkeypatch):
         calls.append(length)
         return unpack(packed, length)
 
-    p, length = (1 << 31) - 1, 2048
+    length = 2048
     f = FieldSpec(p)
     params = ProtocolParams(12, 2, 1, length, f)
     rng = random.Random(11)
