@@ -16,12 +16,10 @@ from .errors import (
     InsufficientPointsError,
     LengthMismatchError,
     MixedFieldError,
-    PhaseViolationError,
     SwiftAggError,
     TooLargeError,
     TooManyDropoutsError,
     ViewLeakError,
-    WrongSequenceError,
     ZeroEvaluationPointError,
 )
 from .field import (

@@ -45,6 +45,9 @@ DEFAULTS = {
 }
 # Every key a config file may set: the long flags of ``run`` without --config.
 CONFIG_KEYS = frozenset(DEFAULTS) | {"n", "t", "d", "drop", "adversary"}
+# Most share entries, n * (t+d+1) * model_len, one run may hold: at this size
+# a run peaks near 400 MiB and takes about 3 s.
+MAX_SHARE_ENTRIES = 1 << 24
 
 
 @dataclass
@@ -61,6 +64,7 @@ class RunConfig:
 
 def _parse_config_file(path: str) -> dict:
     values = {}
+    first_line = {}
     try:
         with open(path, encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, start=1):
@@ -73,6 +77,12 @@ def _parse_config_file(path: str) -> dict:
                 key = key.strip()
                 if key not in CONFIG_KEYS:
                     raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
+                if key in first_line:
+                    raise ConfigError(
+                        f"config: line {lineno}: duplicate key {key!r} "
+                        f"(first set on line {first_line[key]})"
+                    )
+                first_line[key] = lineno
                 values[key] = value.strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
@@ -194,6 +204,12 @@ def build_run_config(args) -> RunConfig:
 
     spec = _checked("field: ", FieldSpec, modulus)
     params = _checked("", ProtocolParams, n, t, d, model_len, spec)
+    entries = n * params.group_size * model_len
+    if entries > MAX_SHARE_ENTRIES:
+        raise ConfigError(
+            f"model_len: n*(t+d+1)*model_len = {entries} share entries exceed "
+            f"the limit {MAX_SHARE_ENTRIES}"
+        )
     _checked("drop: ", DropoutPlan.uniform(drop).validate_for, params)
     adversary = AdversaryConfig.of(colluders, server_curious)
     _checked("adversary: ", adversary.validate_for, params)

@@ -37,14 +37,6 @@ class IndivisibleNError(SwiftAggError):
     """User count is not a multiple of the group size."""
 
 
-class PhaseViolationError(SwiftAggError):
-    """A state-machine step ran before its protocol phase completed."""
-
-
-class WrongSequenceError(SwiftAggError):
-    """An inter-group message arrived on the wrong sequence index."""
-
-
 class TooManyDropoutsError(SwiftAggError):
     """Recovery impossible: the server holds fewer uploads than needed."""
 

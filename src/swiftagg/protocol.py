@@ -1,4 +1,4 @@
-"""The SwiftAgg state machines: grouping, share exchange, sequence sums, recovery.
+"""The SwiftAgg protocol: grouping, share exchange, sequence sums, recovery.
 
 Users are partitioned into groups of size ``t + d + 1`` and the protocol runs
 in three message phases over that layout:
@@ -17,9 +17,10 @@ anything; groupmates presume their shares are zero and their models are
 excluded from the recovered sum.  ``after_sharing`` and ``mid_sequence``
 victims distribute shares first and go silent before forwarding, so their
 models still reach the server through the shares their group already holds.
-A user that receives the null symbol instead of a sequence partial stays
-silent for the rest of the run, which is what caps the damage at one
-sequence index per victim.
+A user that receives the null symbol instead of a sequence partial sends
+the null symbol on, so a victim silences the rest of its own sequence and
+nothing else.  ``execute_protocol`` runs the phases itself, over a list of
+received shares per user and one running partial per sequence index.
 
 Message delivery is phase-major with a fixed sender order inside each phase
 (ascending user id; the sequence phase advances one group hop at a time), so
@@ -34,12 +35,7 @@ import warnings
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import (
-    IndivisibleNError,
-    PhaseViolationError,
-    TooManyDropoutsError,
-    WrongSequenceError,
-)
+from .errors import IndivisibleNError, TooManyDropoutsError
 from .field import (
     FieldSpec,
     ModelVector,
@@ -48,7 +44,6 @@ from .field import (
     vec_sum,
 )
 from .sharing import (
-    SharePolynomial,
     build_polynomial,
     derive_subseed,
     sample_noise,
@@ -256,26 +251,17 @@ def payload_digest(payload: Optional[ModelVector]) -> str:
     return hashlib.sha256(data.encode()).hexdigest()[:16]
 
 
-class MessageLog:
-    """Ordered transcript of every message slot, null symbols included."""
+class MessageLog(list):
+    """Ordered transcript of every message slot, null symbols included.
 
-    __slots__ = ("messages", "user_of")
+    ``user_of`` maps each group position to the user id that holds it.
+    """
+
+    __slots__ = ("user_of",)
 
     def __init__(self, user_of: Mapping[GroupPosition, int]):
-        self.messages: list[ProtocolMessage] = []
-        self.user_of = dict(user_of)
-
-    def append(self, msg: ProtocolMessage) -> None:
-        self.messages.append(msg)
-
-    def __iter__(self):
-        return iter(self.messages)
-
-    def __len__(self):
-        return len(self.messages)
-
-    def __getitem__(self, i):
-        return self.messages[i]
+        super().__init__()
+        self.user_of = user_of
 
     def to_lines(self) -> list[str]:
         # Each position's printed name is resolved once per call.
@@ -285,115 +271,23 @@ class MessageLog:
         return [
             f"{m.phase} from={name(m.sender)} to={name(m.recipient)} "
             f"t={m.t} payload={payload_digest(m.payload)}"
-            for m in self.messages
+            for m in self
         ]
 
     def serialize(self) -> str:
         return "\n".join(self.to_lines()) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# Per-actor state
-# ---------------------------------------------------------------------------
-
-
-class UserState:
-    """One user's mutable record, driven through the phases by the harness.
-
-    ``received_shares`` maps a sender's sequence index to the share received
-    from it (a presumed-zero entry is stored for silent senders), ``q`` is the
-    in-group share sum, and ``upstream`` the partial received from the
-    previous group.  ``alive`` drops when the dropout plan says so; ``silenced``
-    latches once a null symbol arrives from upstream, and a silenced user
-    emits only null symbols afterwards.
-    """
-
-    __slots__ = (
-        "position",
-        "poly",
-        "received_shares",
-        "q",
-        "upstream",
-        "alive",
-        "silenced",
-    )
-
-    def __init__(self, position: GroupPosition, poly: Optional[SharePolynomial]):
-        self.position = position
-        self.poly = poly
-        self.received_shares: dict[int, ModelVector] = {}
-        self.q: Optional[ModelVector] = None
-        self.upstream: Optional[ModelVector] = None
-        self.alive = True
-        self.silenced = False
-
-    def receive_share(self, sender_t: int, payload: ModelVector) -> None:
-        self.received_shares[sender_t] = payload
-
-    def mark_missing(self, sender_t: int, zero: ModelVector) -> None:
-        """Presume a silent groupmate's share to be the zero vector."""
-        self.received_shares[sender_t] = zero
-
-    def compute_q(self, group_size: int) -> ModelVector:
-        """Sum the in-group shares once every sender slot is resolved."""
-        missing = [t2 for t2 in range(1, group_size + 1) if t2 not in self.received_shares]
-        if missing:
-            raise PhaseViolationError(
-                f"user {self.position} still waits on shares from t'={missing}"
-            )
-        self.q = vec_sum([self.received_shares[t2] for t2 in range(1, group_size + 1)])
-        return self.q
-
-    def step_sequence(self, incoming, num_groups: int) -> ProtocolMessage:
-        """Consume the upstream message (if any) and emit this user's output.
-
-        Group-1 users take no incoming message.  The output goes to the next
-        group, or to the server when this user sits in the last group; a
-        dropped or silenced user emits the null symbol instead.
-        """
-        pos = self.position
-        last = pos.gamma == num_groups
-        if pos.gamma == 1:
-            if incoming is not None:
-                raise WrongSequenceError("group-1 users take no upstream message")
-        else:
-            if incoming is None:
-                raise PhaseViolationError(f"user {pos} has no upstream message yet")
-            if incoming.t != pos.t:
-                raise WrongSequenceError(
-                    f"message for sequence {incoming.t} delivered to sequence {pos.t}"
-                )
-            if isinstance(incoming, Null):
-                self.silenced = True
-            else:
-                self.upstream = incoming.payload
-
-        next_pos = None if last else GroupPosition(pos.gamma + 1, pos.t)
-        if not self.alive or self.silenced:
-            self.silenced = True
-            phase = PHASE_UPLOAD if last else PHASE_SEQUENCE
-            return Null(phase, pos, next_pos, pos.t)
-
-        if self.q is None:
-            raise PhaseViolationError(f"user {pos} must compute its share sum first")
-        total = self.q if self.upstream is None else vec_add(self.upstream, self.q)
-        if last:
-            return ServerUpload(pos, total)
-        return SequencePartial(pos, next_pos, total)
-
-
 class ServerState:
     """Collects uploads by sequence index and interpolates the aggregate."""
 
-    __slots__ = ("uploads", "recovered")
+    __slots__ = ("uploads",)
 
     def __init__(self):
         self.uploads: dict[int, ModelVector] = {}
-        self.recovered: Optional[ModelVector] = None
 
-    def receive(self, msg: ProtocolMessage) -> None:
-        if isinstance(msg, ServerUpload):
-            self.uploads[msg.t] = msg.payload
+    def receive(self, msg: ServerUpload) -> None:
+        self.uploads[msg.t] = msg.payload
 
     def recover(self, params: ProtocolParams) -> ModelVector:
         if len(self.uploads) < params.t + 1:
@@ -401,8 +295,7 @@ class ServerState:
                 f"only {len(self.uploads)} uploads arrived; "
                 f"recovery needs at least {params.t + 1}"
             )
-        self.recovered = lagrange_interpolate_at_zero(sorted(self.uploads.items()), params.t)
-        return self.recovered
+        return lagrange_interpolate_at_zero(sorted(self.uploads.items()), params.t)
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +343,8 @@ def execute_protocol(
     _validate_run_inputs(params, models, noise, timings)
     if positions is None:
         positions = assign_groups(params)
-    user_of = {pos: uid for uid, pos in positions.items()}
-    nu, num_groups = params.group_size, params.num_groups
-    zero = params.field.zeros(params.model_len)
-    log = MessageLog(user_of)
-
-    users: dict[int, UserState] = {}
-    for uid in range(1, params.n + 1):
-        if timings.get(uid) == BEFORE_SHARING:
-            poly = None
-        else:
-            poly = build_polynomial(models[uid - 1], noise[uid], params.t)
-        users[uid] = UserState(positions[uid], poly)
+    num_groups = params.num_groups
+    log = MessageLog({pos: uid for uid, pos in positions.items()})
 
     # Group membership, ordered by sequence index, precomputed once: the
     # phase loops below are the hot path of the exhaustive privacy oracle.
@@ -473,49 +356,49 @@ def execute_protocol(
         group.sort()
 
     # Phase 1: every sharing user sends one share per groupmate; its own
-    # point is evaluated locally.  Silent victims leave null slots, and each
-    # groupmate presumes the missing share to be zero.
+    # point is evaluated locally.  A ``before_sharing`` victim leaves null
+    # slots and adds nothing to its groupmates' lists: the share they presume
+    # for it is zero, which changes no entry and no lane bound of their sums,
+    # so leaving it out is exact.
+    shares: dict[int, list] = {uid: [] for uid in range(1, params.n + 1)}
     for uid in range(1, params.n + 1):
-        sender = users[uid]
-        pos = sender.position
-        poly = sender.poly
-        for t2, peer_uid, peer_pos in members[pos.gamma]:
-            if t2 == pos.t:
-                if poly is not None:
-                    sender.receive_share(pos.t, share_for(poly, t2))
-                continue
-            if poly is None:
-                log.append(Null(PHASE_INTRA, pos, peer_pos, t2))
-                users[peer_uid].mark_missing(pos.t, zero)
-            else:
-                payload = share_for(poly, t2)
-                log.append(IntraShare(pos, peer_pos, payload))
-                users[peer_uid].receive_share(pos.t, payload)
-
-    for uid in range(1, params.n + 1):
-        timing = timings.get(uid)
-        if timing == BEFORE_SHARING:
-            users[uid].alive = False
+        pos = positions[uid]
+        if timings.get(uid) == BEFORE_SHARING:
+            for t2, _, peer_pos in members[pos.gamma]:
+                if t2 != pos.t:
+                    log.append(Null(PHASE_INTRA, pos, peer_pos, t2))
             continue
-        users[uid].compute_q(nu)
-        if timing in (AFTER_SHARING, MID_SEQUENCE):
-            # Shares are already out; the user goes silent before forwarding.
-            users[uid].alive = False
+        poly = build_polynomial(models[uid - 1], noise[uid], params.t)
+        for t2, peer_uid, peer_pos in members[pos.gamma]:
+            payload = share_for(poly, t2)
+            shares[peer_uid].append(payload)
+            if t2 != pos.t:
+                log.append(IntraShare(pos, peer_pos, payload))
 
-    # Phases 2 and 3: partial sums advance one group hop at a time (a user
-    # cannot forward before its upstream slot resolved), senders in id
-    # order; the last group uploads to the server.
+    # Phases 2 and 3: partial sums advance one group hop at a time, senders
+    # in id order; the last group uploads to the server.  ``partial[t]`` is
+    # sequence t's running sum, or None once a victim (every timing goes
+    # silent before forwarding) or a null upstream slot has silenced it.
     server = ServerState()
-    delivered: dict[int, ProtocolMessage] = {}
+    partial: dict[int, Optional[ModelVector]] = {}
     for gamma in range(1, num_groups + 1):
-        next_uid_by_t = {t2: peer_uid for t2, peer_uid, _ in members.get(gamma + 1, ())}
+        last = gamma == num_groups
         for uid in sorted(uid for _, uid, _ in members[gamma]):
-            msg = users[uid].step_sequence(delivered.pop(uid, None), num_groups)
-            log.append(msg)
-            if gamma == num_groups:
-                server.receive(msg)
+            pos = positions[uid]
+            t = pos.t
+            next_pos = None if last else GroupPosition(gamma + 1, t)
+            if uid in timings or (gamma > 1 and partial[t] is None):
+                partial[t] = None
+                log.append(Null(PHASE_UPLOAD if last else PHASE_SEQUENCE, pos, next_pos, t))
+                continue
+            q = vec_sum(shares[uid])
+            partial[t] = q if gamma == 1 else vec_add(partial[t], q)
+            if last:
+                upload = ServerUpload(pos, partial[t])
+                log.append(upload)
+                server.receive(upload)
             else:
-                delivered[next_uid_by_t[msg.t]] = msg
+                log.append(SequencePartial(pos, next_pos, partial[t]))
 
     recovered = server.recover(params)
     contributors = frozenset(

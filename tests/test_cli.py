@@ -6,9 +6,19 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
-from swiftagg.cli import build_run_config, build_parser, main, run_experiments
+import pytest
+
+from swiftagg.cli import (
+    MAX_SHARE_ENTRIES,
+    build_parser,
+    build_run_config,
+    main,
+    run_experiments,
+)
+from swiftagg.errors import ConfigError
 
 
 def run_cli(capsys, *argv):
@@ -144,17 +154,24 @@ def test_config_file_bad_line(tmp_path, capsys):
     assert "config:" in err
 
 
-def test_config_file_that_is_not_utf8_is_config_error(tmp_path):
-    path = tmp_path / "binary.cfg"
-    path.write_bytes(b"n=6\n\xff\xfe=1\n")
+def run_module(*argv):
+    """Run ``python -m swiftagg`` in a fresh process; return it and its wall time."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    start = time.perf_counter()
     out = subprocess.run(
-        [sys.executable, "-m", "swiftagg", "run", "--config", str(path)],
+        [sys.executable, "-m", "swiftagg", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+    return out, time.perf_counter() - start
+
+
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"n=6\n\xff\xfe=1\n")
+    out, _ = run_module("run", "--config", str(path))
     assert out.returncode == 2
     assert out.stdout == ""
     assert "config:" in out.stderr
@@ -168,6 +185,46 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "config: line 4: unknown key 'modellen'" in err
+
+
+def test_config_file_duplicate_key(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("n=6\nt=2\nd=1\nn=8\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert "config: line 4: duplicate key 'n' (first set on line 1)" in err
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ("n=8\nt=2\nd=1\nmodel_len=99999999999\n", []),
+        ("", ["--n", "4000000000", "--t", "2", "--d", "1"]),
+    ],
+)
+def test_oversized_run_is_rejected_before_it_runs(tmp_path, config, flags):
+    path = tmp_path / "size.cfg"
+    path.write_text(config)
+    out, elapsed = run_module("run", "--config", str(path), *flags)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: model_len:")
+    assert "Traceback" not in out.stderr
+    assert elapsed < 1.0
+
+
+def test_run_size_limit_is_inclusive():
+    at_limit = 1 << 19
+    assert 8 * 4 * at_limit == MAX_SHARE_ENTRIES  # n * (t+d+1) * model_len
+    config = build_run_config(
+        parse_run_args("--n", "8", "--t", "2", "--d", "1", "--model-len", str(at_limit))
+    )
+    assert config.params.model_len == at_limit
+    with pytest.raises(ConfigError, match="^model_len: "):
+        build_run_config(
+            parse_run_args("--n", "8", "--t", "2", "--d", "1", "--model-len", str(at_limit + 1))
+        )
 
 
 def test_config_file_bad_drop_rate(tmp_path, capsys):

@@ -1,36 +1,41 @@
-"""Grouping, phase state machines, dropout semantics, and full runs."""
+"""Grouping, message shapes, dropout semantics, and full runs.
 
+The whole-protocol property test checks every drawn run against plain-int
+column sums, the exact set of null slots and the exact load counts.
+"""
+
+import itertools
 import random
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from swiftagg.errors import (
-    IndivisibleNError,
-    PhaseViolationError,
-    TooManyDropoutsError,
-    WrongSequenceError,
-)
-from swiftagg.field import FieldSpec, vec_add
+from swiftagg.errors import IndivisibleNError, TooManyDropoutsError
+from swiftagg.field import FieldSpec, is_prime, vec_add
 from swiftagg.protocol import (
     AFTER_SHARING,
     BEFORE_SHARING,
+    DROPOUT_TIMINGS,
     MID_SEQUENCE,
     CollusionBoundWarning,
     GroupPosition,
     IntraShare,
     Null,
+    PHASE_INTRA,
     PHASE_SEQUENCE,
+    PHASE_UPLOAD,
     ProtocolParams,
     SequencePartial,
     ServerState,
     ServerUpload,
-    UserState,
     assign_groups,
     execute_protocol,
     run_protocol,
 )
 from swiftagg.sharing import build_polynomial, sample_noise, share_for, user_rng
+from swiftagg.simnet import count_loads
 
 F101 = FieldSpec(101)
 
@@ -124,95 +129,8 @@ def test_assign_groups_shuffle_is_seeded_bijection():
 
 
 # ---------------------------------------------------------------------------
-# Per-user state machine
+# Messages and server
 # ---------------------------------------------------------------------------
-
-
-def make_user(position, seed=0, t=1, length=1):
-    rng = random.Random(seed)
-    model = F101.vector([rng.randrange(101) for _ in range(length)])
-    poly = build_polynomial(model, sample_noise(F101, t, length, rng), t)
-    return UserState(position, poly)
-
-
-def test_compute_q_all_senders_dropped_except_self():
-    nu = 4
-    user = make_user(GroupPosition(1, 2))
-    own = share_for(user.poly, 2)
-    user.receive_share(2, own)
-    for other in (1, 3, 4):
-        user.mark_missing(other, F101.zeros(1))
-    assert user.compute_q(nu) == own
-
-
-def test_compute_q_matches_poly_sum_oracle():
-    nu = 3
-    users = [make_user(GroupPosition(1, t), seed=t) for t in (1, 2, 3)]
-    receiver = users[1]
-    for sender in users:
-        receiver.receive_share(sender.position.t, share_for(sender.poly, 2))
-    expected = field_sum(
-        F101, [share_for(sender.poly, 2) for sender in users]
-    )
-    assert receiver.compute_q(nu) == expected
-
-
-def test_compute_q_before_resolution_is_phase_violation():
-    user = make_user(GroupPosition(1, 1))
-    user.receive_share(1, share_for(user.poly, 1))
-    with pytest.raises(PhaseViolationError):
-        user.compute_q(3)
-
-
-def test_step_sequence_group_one_emits_q():
-    user = make_user(GroupPosition(1, 2))
-    user.received_shares = {1: F101.zeros(1), 2: F101.zeros(1)}
-    q = user.compute_q(2)
-    msg = user.step_sequence(None, num_groups=2)
-    assert isinstance(msg, SequencePartial)
-    assert msg.payload == q
-    assert msg.recipient == GroupPosition(2, 2)
-
-
-def test_step_sequence_null_upstream_silences():
-    user = make_user(GroupPosition(2, 3))
-    user.received_shares = {1: F101.zeros(1), 2: F101.zeros(1), 3: F101.zeros(1)}
-    user.compute_q(3)
-    incoming = Null(PHASE_SEQUENCE, GroupPosition(1, 3), GroupPosition(2, 3), 3)
-    out = user.step_sequence(incoming, num_groups=3)
-    assert isinstance(out, Null)
-    assert user.silenced
-    # silenced users emit only null symbols afterwards
-    again = user.step_sequence(
-        SequencePartial(GroupPosition(1, 3), GroupPosition(2, 3), F101.vector([1])),
-        num_groups=3,
-    )
-    assert isinstance(again, Null)
-
-
-def test_step_sequence_wrong_index_rejected():
-    user = make_user(GroupPosition(2, 1))
-    user.received_shares = {1: F101.zeros(1), 2: F101.zeros(1)}
-    user.compute_q(2)
-    wrong = SequencePartial(GroupPosition(1, 2), GroupPosition(2, 2), F101.vector([3]))
-    with pytest.raises(WrongSequenceError):
-        user.step_sequence(wrong, num_groups=2)
-
-
-def test_step_sequence_requires_q():
-    user = make_user(GroupPosition(1, 1))
-    with pytest.raises(PhaseViolationError):
-        user.step_sequence(None, num_groups=2)
-
-
-def test_step_sequence_last_group_uploads():
-    user = make_user(GroupPosition(2, 1))
-    user.received_shares = {1: F101.zeros(1), 2: F101.zeros(1)}
-    user.compute_q(2)
-    upstream = SequencePartial(GroupPosition(1, 1), GroupPosition(2, 1), F101.vector([5]))
-    out = user.step_sequence(upstream, num_groups=2)
-    assert isinstance(out, ServerUpload)
-    assert out.payload == vec_add(F101.vector([5]), user.q)
 
 
 def test_intra_share_cannot_cross_groups():
@@ -400,3 +318,84 @@ def test_fuzz_recovery_matches_sum_oracle():
         # each victim silences at most its own sequence index
         dead = sum(1 for m in run.log if m.phase == "upload" and m.payload is None)
         assert dead <= len(victims) <= d
+
+
+# ---------------------------------------------------------------------------
+# Whole-protocol property
+# ---------------------------------------------------------------------------
+
+
+def smallest_prime_above(bound):
+    return next(c for c in itertools.count(bound + 1) if is_prime(c))
+
+
+@st.composite
+def protocol_instances(draw):
+    t = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 3))
+    nu = t + d + 1
+    n = nu * draw(st.integers(1, 5))
+    p = draw(st.sampled_from([smallest_prime_above(nu), 65521, (1 << 31) - 1, 4294967291]))
+    model_len = draw(st.integers(1, 16))
+    victims = draw(st.lists(st.integers(1, n), unique=True, max_size=d))
+    timings = {v: draw(st.sampled_from(DROPOUT_TIMINGS)) for v in victims}
+    shuffle_seed = draw(st.none() | st.integers(0, 2**16))
+    seed = draw(st.integers(0, 2**32))
+    return n, t, d, p, model_len, timings, shuffle_seed, seed
+
+
+def expected_null_slots(params, positions, timings):
+    """A ``before_sharing`` victim's intra slots, plus every sequence and
+    upload slot from each victim's own position to the end of its sequence."""
+    nu, last = params.group_size, params.num_groups
+    slots = set()
+    for victim, timing in timings.items():
+        pos = positions[victim]
+        if timing == BEFORE_SHARING:
+            slots |= {
+                (PHASE_INTRA, pos, GroupPosition(pos.gamma, t2))
+                for t2 in range(1, nu + 1)
+                if t2 != pos.t
+            }
+        for gamma in range(pos.gamma, last + 1):
+            sender = GroupPosition(gamma, pos.t)
+            if gamma == last:
+                slots.add((PHASE_UPLOAD, sender, None))
+            else:
+                slots.add((PHASE_SEQUENCE, sender, GroupPosition(gamma + 1, pos.t)))
+    return slots
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=protocol_instances())
+# The most silent groupmates a valid run allows: d = 2 of a group of 4.
+@example(instance=(4, 1, 2, 5, 3, {2: BEFORE_SHARING, 3: BEFORE_SHARING}, None, 0))
+def test_protocol_matches_sums_null_slots_and_loads(instance):
+    n, t, d, p, model_len, timings, shuffle_seed, seed = instance
+    params = make_params(n, t, d, length=model_len, p=p)
+    models = random_models(params, seed)
+    positions = assign_groups(params, shuffle_seed=shuffle_seed)
+    run = execute_protocol(params, models, sampled_noise(params, seed), timings, positions)
+
+    # Plain-int column sums of the models whose shares went out.
+    contributing = [
+        m.values for uid, m in enumerate(models, start=1)
+        if timings.get(uid) != BEFORE_SHARING
+    ]
+    assert run.recovered.values == tuple(sum(column) % p for column in zip(*contributing))
+
+    nu, last = params.group_size, params.num_groups
+    assert len(run.log) == n * nu
+    null = [(m.phase, m.sender, m.recipient) for m in run.log if m.payload is None]
+    expected = expected_null_slots(params, positions, timings)
+    assert len(null) == len(set(null))
+    assert set(null) == expected
+
+    dead_uploads = sum(1 for phase, _, _ in expected if phase == PHASE_UPLOAD)
+    metrics = count_loads(run.log, params)
+    assert metrics.server_msgs == nu - dead_uploads
+    assert metrics.user_to_user_msgs == (
+        n * (nu - 1) + nu * (last - 1) - (len(expected) - dead_uploads)
+    )
+    if not timings:
+        assert (metrics.user_to_user_msgs, metrics.server_msgs) == ((n - 1) * nu, nu)
