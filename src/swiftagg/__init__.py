@@ -23,7 +23,6 @@ from .errors import (
     ZeroEvaluationPointError,
 )
 from .field import (
-    EvalPoint,
     FieldElement,
     FieldSpec,
     ModelVector,

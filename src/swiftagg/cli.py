@@ -206,8 +206,10 @@ def build_run_config(args) -> RunConfig:
     params = _checked("", ProtocolParams, n, t, d, model_len, spec)
     entries = n * params.group_size * model_len
     if entries > MAX_SHARE_ENTRIES:
+        # Name n when it is over the limit at any model length.
+        culprit = "n" if n * params.group_size > MAX_SHARE_ENTRIES else "model_len"
         raise ConfigError(
-            f"model_len: n*(t+d+1)*model_len = {entries} share entries exceed "
+            f"{culprit}: n*(t+d+1)*model_len = {entries} share entries exceed "
             f"the limit {MAX_SHARE_ENTRIES}"
         )
     _checked("drop: ", DropoutPlan.uniform(drop).validate_for, params)

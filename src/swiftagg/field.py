@@ -332,43 +332,6 @@ def vec_add(a: ModelVector, b: ModelVector) -> ModelVector:
     return ModelVector._packed(a.field, packed, length, 2 * (a.field.p - 1))
 
 
-class EvalPoint:
-    """A nonzero abscissa; x = 0 holds the secret and is never a share point."""
-
-    __slots__ = ("field", "alpha")
-
-    def __init__(self, field: FieldSpec, alpha: int):
-        value = int(alpha) % field.p
-        if value == 0:
-            raise ZeroEvaluationPointError("evaluation point must be nonzero")
-        self.field = field
-        self.alpha = value
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EvalPoint)
-            and self.field.p == other.field.p
-            and self.alpha == other.alpha
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.alpha))
-
-    def __repr__(self):
-        return f"EvalPoint({self.alpha} mod {self.field.p})"
-
-
-def _as_abscissa(x, field: FieldSpec) -> int:
-    """Accept EvalPoint, FieldElement or int and return a reduced int."""
-    if isinstance(x, EvalPoint):
-        _require_same_field(x.field, field)
-        return x.alpha
-    if isinstance(x, FieldElement):
-        _require_same_field(x.field, field)
-        return x.value
-    return int(x) % field.p
-
-
 def _horner(coeffs: Sequence[ModelVector], x) -> ModelVector:
     """Horner's rule at ``x`` on coherent coefficients, lowest degree first.
 
@@ -379,7 +342,7 @@ def _horner(coeffs: Sequence[ModelVector], x) -> ModelVector:
     length = coeffs[0].length
     p = field.p
     top = p - 1
-    x = _as_abscissa(x, field)
+    x %= p
     acc = coeffs[-1]._canonical()
     bound = top
     for c in reversed(coeffs[:-1]):
@@ -420,8 +383,8 @@ def _interpolant_at(points: Sequence[tuple], x: int, field: FieldSpec) -> tuple:
 def lagrange_interpolate_at_zero(points, degree_bound: int) -> ModelVector:
     """Recover P(0) for the degree-<=``degree_bound`` polynomial through ``points``.
 
-    ``points`` is a sequence of (abscissa, ModelVector) pairs; abscissas may
-    be EvalPoint, FieldElement or int, must be nonzero and pairwise distinct.
+    ``points`` is a sequence of (abscissa, ModelVector) pairs; abscissas are
+    ints, taken mod p, and must be nonzero and pairwise distinct.
     The interpolant is fitted to the first ``degree_bound + 1`` points; any
     surplus points are checked against it so that disagreeing inputs surface
     as a ConsistencyError instead of being silently ignored.
@@ -432,6 +395,7 @@ def lagrange_interpolate_at_zero(points, degree_bound: int) -> ModelVector:
     if not pts:
         raise InsufficientPointsError("no points supplied")
     field = pts[0][1].field
+    p = field.p
     length = pts[0][1].length
     norm = []
     seen = set()
@@ -439,7 +403,7 @@ def lagrange_interpolate_at_zero(points, degree_bound: int) -> ModelVector:
         _require_same_field(y.field, field)
         if y.length != length:
             raise LengthMismatchError("point values differ in length")
-        alpha = _as_abscissa(x, field)
+        alpha = x % p
         if alpha == 0:
             raise ZeroEvaluationPointError("interpolation abscissa must be nonzero")
         if alpha in seen:
@@ -453,7 +417,6 @@ def lagrange_interpolate_at_zero(points, degree_bound: int) -> ModelVector:
             f"need {need} points for degree {degree_bound}, got {len(norm)}"
         )
     base = norm[:need]
-    p = field.p
     for alpha, y in norm[need:]:
         acc, bound = _interpolant_at(base, alpha, field)
         if _reduce(acc, length, p, bound) != y._canonical():

@@ -117,35 +117,13 @@ class ViewDistribution:
 
 
 @dataclass(frozen=True)
-class Witness:
-    """Concrete evidence of dependence: same aggregate, distinguishable views."""
-
-    aggregate: int
-    assignment_a: tuple
-    assignment_b: tuple
-    view: tuple
-    count_a: int
-    count_b: int
-
-    def to_json(self) -> dict:
-        return {
-            "aggregate": self.aggregate,
-            "assignment_a": list(self.assignment_a),
-            "assignment_b": list(self.assignment_b),
-            "view": repr(self.view),
-            "count_a": self.count_a,
-            "count_b": self.count_b,
-        }
-
-
-@dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one exact check; a failure carries its witness."""
+    """Outcome of one exact check; a failure carries a JSON-ready witness dict."""
 
     check: str
     instance: str
     independent: bool
-    witness: Optional[object] = None
+    witness: Optional[dict] = None
     detail: str = ""
 
     def to_json(self) -> dict:
@@ -157,9 +135,7 @@ class CheckResult:
         if self.detail:
             out["detail"] = self.detail
         if self.witness is not None:
-            out["witness"] = (
-                self.witness.to_json() if hasattr(self.witness, "to_json") else self.witness
-            )
+            out["witness"] = self.witness
         return out
 
 
@@ -280,14 +256,14 @@ def check_conditional_independence(dist: ViewDistribution) -> CheckResult:
                 continue
             for view_key in reference.keys() | candidate.keys():
                 if reference[view_key] != candidate[view_key]:
-                    witness = Witness(
-                        aggregate=aggregate,
-                        assignment_a=members[0],
-                        assignment_b=w,
-                        view=view_key,
-                        count_a=reference[view_key],
-                        count_b=candidate[view_key],
-                    )
+                    witness = {
+                        "aggregate": aggregate,
+                        "assignment_a": list(members[0]),
+                        "assignment_b": list(w),
+                        "view": repr(view_key),
+                        "count_a": reference[view_key],
+                        "count_b": candidate[view_key],
+                    }
                     return CheckResult(
                         "conditional_independence", label, False, witness
                     )

@@ -22,6 +22,10 @@ the null symbol on, so a victim silences the rest of its own sequence and
 nothing else.  ``execute_protocol`` runs the phases itself, over a list of
 received shares per user and one running partial per sequence index.
 
+A transcript is a ``MessageLog``: a list of ``Message`` slots, each a phase,
+sender, recipient (None for the server), sequence index ``t`` and payload,
+where ``payload=None`` is the null symbol (written ⊥ in the paper).
+
 Message delivery is phase-major with a fixed sender order inside each phase
 (ascending user id; the sequence phase advances one group hop at a time), so
 identical inputs always produce bit-identical transcripts.
@@ -33,7 +37,7 @@ import hashlib
 import random
 import warnings
 from dataclasses import dataclass
-from typing import ClassVar, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import IndivisibleNError, TooManyDropoutsError
 from .field import (
@@ -170,77 +174,18 @@ class DropoutPlan:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class IntraShare:
-    """A polynomial evaluation sent between two members of one group."""
+class Message(NamedTuple):
+    """One transcript slot; ``payload=None`` is the null symbol (nothing sent).
 
-    sender: GroupPosition
-    recipient: GroupPosition
-    payload: ModelVector
-
-    phase: ClassVar[str] = PHASE_INTRA
-
-    def __post_init__(self):
-        if self.sender.gamma != self.recipient.gamma:
-            raise ValueError("intra-group share must stay within one group")
-        if self.sender.t == self.recipient.t:
-            raise ValueError("a user's own share is local, not a message")
-
-    @property
-    def t(self) -> int:
-        return self.recipient.t
-
-
-@dataclass(frozen=True, slots=True)
-class SequencePartial:
-    """Running sequence sum forwarded to the same index in the next group."""
-
-    sender: GroupPosition
-    recipient: GroupPosition
-    payload: ModelVector
-
-    phase: ClassVar[str] = PHASE_SEQUENCE
-
-    def __post_init__(self):
-        if self.recipient.gamma != self.sender.gamma + 1:
-            raise ValueError("sequence partial must go to the next group")
-        if self.recipient.t != self.sender.t:
-            raise ValueError("sequence partial must keep its sequence index")
-
-    @property
-    def t(self) -> int:
-        return self.sender.t
-
-
-@dataclass(frozen=True, slots=True)
-class ServerUpload:
-    """Final sequence sum sent from the last group to the server."""
-
-    sender: GroupPosition
-    payload: ModelVector
-
-    phase: ClassVar[str] = PHASE_UPLOAD
-    recipient: ClassVar[None] = None
-
-    @property
-    def t(self) -> int:
-        return self.sender.t
-
-
-@dataclass(frozen=True, slots=True)
-class Null:
-    """The null symbol: a message slot where nothing was sent."""
+    ``recipient`` is None for server uploads.  ``t`` is the sequence index the
+    slot belongs to: the recipient's for intra shares, the sender's otherwise.
+    """
 
     phase: str
     sender: GroupPosition
     recipient: Optional[GroupPosition]
     t: int
-
-    payload: ClassVar[None] = None
-
-
-# Tagged union of everything a transcript can contain.
-ProtocolMessage = IntraShare | SequencePartial | ServerUpload | Null
+    payload: Optional[ModelVector]
 
 
 def payload_digest(payload: Optional[ModelVector]) -> str:
@@ -286,7 +231,7 @@ class ServerState:
     def __init__(self):
         self.uploads: dict[int, ModelVector] = {}
 
-    def receive(self, msg: ServerUpload) -> None:
+    def receive(self, msg: Message) -> None:
         self.uploads[msg.t] = msg.payload
 
     def recover(self, params: ProtocolParams) -> ModelVector:
@@ -306,7 +251,6 @@ class ServerState:
 class ProtocolRun(NamedTuple):
     recovered: ModelVector
     log: MessageLog
-    contributors: frozenset
     positions: dict
 
 
@@ -366,14 +310,14 @@ def execute_protocol(
         if timings.get(uid) == BEFORE_SHARING:
             for t2, _, peer_pos in members[pos.gamma]:
                 if t2 != pos.t:
-                    log.append(Null(PHASE_INTRA, pos, peer_pos, t2))
+                    log.append(Message(PHASE_INTRA, pos, peer_pos, t2, None))
             continue
         poly = build_polynomial(models[uid - 1], noise[uid], params.t)
         for t2, peer_uid, peer_pos in members[pos.gamma]:
             payload = share_for(poly, t2)
             shares[peer_uid].append(payload)
             if t2 != pos.t:
-                log.append(IntraShare(pos, peer_pos, payload))
+                log.append(Message(PHASE_INTRA, pos, peer_pos, t2, payload))
 
     # Phases 2 and 3: partial sums advance one group hop at a time, senders
     # in id order; the last group uploads to the server.  ``partial[t]`` is
@@ -383,28 +327,22 @@ def execute_protocol(
     partial: dict[int, Optional[ModelVector]] = {}
     for gamma in range(1, num_groups + 1):
         last = gamma == num_groups
+        phase = PHASE_UPLOAD if last else PHASE_SEQUENCE
         for uid in sorted(uid for _, uid, _ in members[gamma]):
             pos = positions[uid]
             t = pos.t
             next_pos = None if last else GroupPosition(gamma + 1, t)
             if uid in timings or (gamma > 1 and partial[t] is None):
                 partial[t] = None
-                log.append(Null(PHASE_UPLOAD if last else PHASE_SEQUENCE, pos, next_pos, t))
-                continue
-            q = vec_sum(shares[uid])
-            partial[t] = q if gamma == 1 else vec_add(partial[t], q)
-            if last:
-                upload = ServerUpload(pos, partial[t])
-                log.append(upload)
-                server.receive(upload)
             else:
-                log.append(SequencePartial(pos, next_pos, partial[t]))
+                q = vec_sum(shares[uid])
+                partial[t] = q if gamma == 1 else vec_add(partial[t], q)
+            msg = Message(phase, pos, next_pos, t, partial[t])
+            log.append(msg)
+            if last and msg.payload is not None:
+                server.receive(msg)
 
-    recovered = server.recover(params)
-    contributors = frozenset(
-        uid for uid in range(1, params.n + 1) if timings.get(uid) != BEFORE_SHARING
-    )
-    return ProtocolRun(recovered, log, contributors, dict(positions))
+    return ProtocolRun(server.recover(params), log, dict(positions))
 
 
 def execute_seeded(

@@ -20,7 +20,7 @@ from .errors import (
     MixedFieldError,
     ZeroEvaluationPointError,
 )
-from .field import FieldSpec, ModelVector, _as_abscissa, _horner
+from .field import FieldSpec, ModelVector, _horner
 
 
 def derive_subseed(seed: int, label) -> int:
@@ -116,7 +116,7 @@ def build_polynomial(model: ModelVector, noise, collusion_bound: int) -> SharePo
 
 def share_for(poly: SharePolynomial, point) -> ModelVector:
     """Evaluate ``poly`` at a nonzero point; the share sent to that point's owner."""
-    alpha = _as_abscissa(point, poly.coeffs[0].field)
+    alpha = point % poly.coeffs[0].field.p
     if alpha == 0:
         raise ZeroEvaluationPointError("share point must be nonzero")
     return poly.eval(alpha)

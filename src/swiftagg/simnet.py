@@ -129,14 +129,12 @@ class RunMetrics:
 
 
 def count_loads(log: MessageLog, params: ProtocolParams) -> RunMetrics:
-    """Count non-null directed messages; null slots and self-delivery cost nothing."""
+    """Count non-null directed messages; null slots cost nothing."""
     user_to_user = 0
     server = 0
     outbound: dict = {}
     for msg in log:
         if msg.payload is None:
-            continue
-        if msg.sender == msg.recipient:
             continue
         outbound[msg.sender] = outbound.get(msg.sender, 0) + params.model_len
         if msg.phase == PHASE_UPLOAD:

@@ -13,7 +13,6 @@ from swiftagg.errors import (
     ZeroEvaluationPointError,
 )
 from swiftagg.field import (
-    EvalPoint,
     FieldSpec,
     ModelVector,
     is_prime,
@@ -145,14 +144,6 @@ def test_poly_eval_at_zero_is_constant_term():
         f = FieldSpec(p)
         coeffs = [f.vector([rng.randrange(p) for _ in range(4)]) for _ in range(3)]
         assert SharePolynomial(coeffs).eval(0) == coeffs[0]
-
-
-def test_eval_point_rejects_zero():
-    f = FieldSpec(7)
-    with pytest.raises(ZeroEvaluationPointError):
-        EvalPoint(f, 0)
-    with pytest.raises(ZeroEvaluationPointError):
-        EvalPoint(f, 7)  # 7 mod 7 == 0
 
 
 def test_interpolate_constant_data():

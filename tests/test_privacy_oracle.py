@@ -205,7 +205,7 @@ def test_t2_colluder_and_server_is_independent():
     control = check_conditional_independence(enumerate_views(instance, zero_noise=True))
     assert not control.independent
     assert control.witness is not None
-    assert control.witness.assignment_a != control.witness.assignment_b
+    assert control.witness["assignment_a"] != control.witness["assignment_b"]
 
 
 def test_no_noise_with_colluder_is_witnessed():
@@ -216,8 +216,8 @@ def test_no_noise_with_colluder_is_witnessed():
     witness = result.witness
     assert witness is not None
     # the witness pins two same-aggregate assignments with distinguishable views
-    assert witness.assignment_a != witness.assignment_b
-    assert witness.count_a != witness.count_b
+    assert witness["assignment_a"] != witness["assignment_b"]
+    assert witness["count_a"] != witness["count_b"]
     blob = result.to_json()
     assert blob["verdict"] == "dependent"
     assert "witness" in blob

@@ -21,15 +21,12 @@ from swiftagg.protocol import (
     MID_SEQUENCE,
     CollusionBoundWarning,
     GroupPosition,
-    IntraShare,
-    Null,
+    Message,
     PHASE_INTRA,
     PHASE_SEQUENCE,
     PHASE_UPLOAD,
     ProtocolParams,
-    SequencePartial,
     ServerState,
-    ServerUpload,
     assign_groups,
     execute_protocol,
     run_protocol,
@@ -129,29 +126,15 @@ def test_assign_groups_shuffle_is_seeded_bijection():
 
 
 # ---------------------------------------------------------------------------
-# Messages and server
+# Server
 # ---------------------------------------------------------------------------
-
-
-def test_intra_share_cannot_cross_groups():
-    with pytest.raises(ValueError):
-        IntraShare(GroupPosition(1, 1), GroupPosition(2, 2), F101.vector([1]))
-    with pytest.raises(ValueError):
-        IntraShare(GroupPosition(1, 1), GroupPosition(1, 1), F101.vector([1]))
-
-
-def test_sequence_partial_shape_enforced():
-    with pytest.raises(ValueError):
-        SequencePartial(GroupPosition(1, 1), GroupPosition(3, 1), F101.vector([1]))
-    with pytest.raises(ValueError):
-        SequencePartial(GroupPosition(1, 1), GroupPosition(2, 2), F101.vector([1]))
 
 
 def test_server_needs_enough_uploads():
     params = make_params(4, 2, 1)
     server = ServerState()
-    server.receive(ServerUpload(GroupPosition(1, 1), F101.vector([1])))
-    server.receive(ServerUpload(GroupPosition(1, 2), F101.vector([2])))
+    server.receive(Message(PHASE_UPLOAD, GroupPosition(1, 1), None, 1, F101.vector([1])))
+    server.receive(Message(PHASE_UPLOAD, GroupPosition(1, 2), None, 2, F101.vector([2])))
     with pytest.raises(TooManyDropoutsError):
         server.recover(params)
 
@@ -182,10 +165,10 @@ def test_motivating_scenario_facts():
         if msg.sender is not None:
             by_user.setdefault(log.user_of[msg.sender], []).append(msg)
     # the victim emits only null symbols
-    assert all(isinstance(m, Null) for m in by_user[7])
+    assert all(m.payload is None for m in by_user[7])
     # its downstream neighbour goes silent in turn
-    assert any(isinstance(m, Null) and m.phase == "upload" for m in by_user[11])
-    uploads = {m.t for m in log if isinstance(m, ServerUpload)}
+    assert any(m.payload is None and m.phase == "upload" for m in by_user[11])
+    uploads = {m.t for m in log if m.phase == "upload" and m.payload is not None}
     assert uploads == {1, 2, 4}
 
 
@@ -194,7 +177,7 @@ def test_no_dropout_run_all_uploads_arrive():
     models = random_models(params, 5)
     recovered, log = run_protocol(params, models, set(), seed=8)
     assert recovered == field_sum(params.field, models)
-    uploads = [m for m in log if isinstance(m, ServerUpload)]
+    uploads = [m for m in log if m.phase == "upload" and m.payload is not None]
     assert len(uploads) == params.group_size
 
 
@@ -211,7 +194,7 @@ def test_upload_equals_unrolled_group_sums():
         for uid in range(1, 13)
     }
     for msg in run.log:
-        if not isinstance(msg, ServerUpload):
+        if not (msg.phase == "upload" and msg.payload is not None):
             continue
         t = msg.t
         q_sums = []
@@ -263,7 +246,13 @@ def test_dropout_timing_semantics(timing, victim):
         # shares were already distributed, so the model still reaches the sum
         contributing = models
     assert run.recovered == field_sum(params.field, contributing)
-    assert run.contributors == frozenset(
+    # the users whose shares went out are exactly the contributors
+    sharing = {
+        run.log.user_of[m.sender]
+        for m in run.log
+        if m.phase == PHASE_INTRA and m.payload is not None
+    }
+    assert sharing == frozenset(
         n for n in range(1, 13) if timing == BEFORE_SHARING and n != victim or timing != BEFORE_SHARING
     )
 
@@ -278,7 +267,7 @@ def test_at_most_d_sequences_die():
     run = execute_protocol(
         params, models, noise, {1: BEFORE_SHARING, 5: MID_SEQUENCE}
     )
-    null_uploads = [m for m in run.log if isinstance(m, Null) and m.phase == "upload"]
+    null_uploads = [m for m in run.log if m.payload is None and m.phase == "upload"]
     assert len(null_uploads) == 1
 
 
@@ -288,36 +277,6 @@ def test_too_many_victims_rejected():
     noise = sampled_noise(params, seed=2)
     with pytest.raises(ValueError):
         execute_protocol(params, models, noise, {1: BEFORE_SHARING, 2: BEFORE_SHARING})
-
-
-def test_fuzz_recovery_matches_sum_oracle():
-    rng = random.Random(2718)
-    combos = []
-    for t in (1, 2, 3):
-        for d in (0, 1, 2):
-            nu = t + d + 1
-            for groups in (1, 2, 3):
-                n = nu * groups
-                if t + d < n and 4 <= n <= 24:
-                    combos.append((n, t, d))
-    for trial in range(60):
-        n, t, d = combos[rng.randrange(len(combos))]
-        p = rng.choice([11, 101, (1 << 31) - 1])
-        length = rng.choice([1, 8])
-        params = make_params(n, t, d, length=length, p=p)
-        models = random_models(params, rng.randrange(10**6))
-        victims = rng.sample(range(1, n + 1), rng.randint(0, d))
-        timings = {v: rng.choice([BEFORE_SHARING, AFTER_SHARING, MID_SEQUENCE]) for v in victims}
-        noise = sampled_noise(params, seed=rng.randrange(10**6))
-        run = execute_protocol(params, models, noise, timings)
-        contributing = [
-            m for uid, m in enumerate(models, start=1)
-            if timings.get(uid) != BEFORE_SHARING
-        ]
-        assert run.recovered == field_sum(params.field, contributing)
-        # each victim silences at most its own sequence index
-        dead = sum(1 for m in run.log if m.phase == "upload" and m.payload is None)
-        assert dead <= len(victims) <= d
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +294,9 @@ def protocol_instances(draw):
     d = draw(st.integers(0, 3))
     nu = t + d + 1
     n = nu * draw(st.integers(1, 5))
-    p = draw(st.sampled_from([smallest_prime_above(nu), 65521, (1 << 31) - 1, 4294967291]))
+    p = draw(st.sampled_from(
+        [smallest_prime_above(nu), 11, 101, 65521, (1 << 31) - 1, 4294967291]
+    ))
     model_len = draw(st.integers(1, 16))
     victims = draw(st.lists(st.integers(1, n), unique=True, max_size=d))
     timings = {v: draw(st.sampled_from(DROPOUT_TIMINGS)) for v in victims}
@@ -386,6 +347,22 @@ def test_protocol_matches_sums_null_slots_and_loads(instance):
 
     nu, last = params.group_size, params.num_groups
     assert len(run.log) == n * nu
+    # Routing: every slot goes where its phase sends it, and no slot repeats.
+    for m in run.log:
+        if m.phase == PHASE_INTRA:
+            assert m.recipient.gamma == m.sender.gamma
+            assert m.recipient.t != m.sender.t
+            assert m.t == m.recipient.t
+        elif m.phase == PHASE_SEQUENCE:
+            assert m.recipient == GroupPosition(m.sender.gamma + 1, m.sender.t)
+            assert m.t == m.sender.t
+        else:
+            assert m.phase == PHASE_UPLOAD
+            assert m.recipient is None and m.sender.gamma == last
+            assert m.t == m.sender.t
+    slots = [(m.phase, m.sender, m.recipient) for m in run.log]
+    assert len(slots) == len(set(slots))
+
     null = [(m.phase, m.sender, m.recipient) for m in run.log if m.payload is None]
     expected = expected_null_slots(params, positions, timings)
     assert len(null) == len(set(null))
