@@ -31,7 +31,7 @@ for n, t, d in [(4, 1, 0), (6, 1, 1), (12, 2, 1), (18, 2, 3), (24, 3, 2)]:
     nu = params.group_size
     print(
         f"{n:>4} {t:>2} {d:>2} | {result.metrics.user_to_user_msgs:>9} {(n - 1) * nu:>8}"
-        f" | {result.metrics.server_msgs:>7} {result.metrics.R_uplink_required:>6}"
+        f" | {result.metrics.server_msgs:>7} {t + 1:>6}"
     )
 
 print()

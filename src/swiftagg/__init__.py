@@ -19,11 +19,9 @@ from .errors import (
     SwiftAggError,
     TooLargeError,
     TooManyDropoutsError,
-    ViewLeakError,
     ZeroEvaluationPointError,
 )
 from .field import (
-    FieldElement,
     FieldSpec,
     ModelVector,
     lagrange_interpolate_at_zero,

@@ -281,7 +281,7 @@ def run_experiments(config: RunConfig, out=None) -> int:
             "recovered_ok": ok,
             "r_user": result.metrics.user_to_user_msgs,
             "r_uplink_actual": result.metrics.server_msgs,
-            "r_uplink_required": result.metrics.R_uplink_required,
+            "r_uplink_required": params.t + 1,
             "elapsed": round(elapsed, 6),
         }
         if writer is not None:

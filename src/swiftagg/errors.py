@@ -45,10 +45,5 @@ class TooLargeError(SwiftAggError):
     """Exhaustive enumeration would exceed the size guard."""
 
 
-class ViewLeakError(SwiftAggError):
-    """Internal check failed: the adversary view contains a message it is
-    not entitled to under the semi-honest model."""
-
-
 class ConfigError(SwiftAggError):
     """Invalid run configuration; the message names the offending field."""

@@ -79,9 +79,6 @@ class FieldSpec:
         _check_prime(p)
         self.p = p
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
     def vector(self, values: Iterable[int]) -> "ModelVector":
         return ModelVector(self, values)
 
@@ -103,49 +100,6 @@ class FieldSpec:
 def _require_same_field(a: FieldSpec, b: FieldSpec) -> None:
     if a.p != b.p:
         raise MixedFieldError(f"operands live in F_{a.p} and F_{b.p}")
-
-
-class FieldElement:
-    """A value in [0, p) tied to its FieldSpec."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: FieldSpec, value: int):
-        self.field = field
-        self.value = int(value) % field.p
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        _require_same_field(self.field, other.field)
-        return FieldElement(self.field, self.value + other.value)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        _require_same_field(self.field, other.field)
-        return FieldElement(self.field, self.value - other.value)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        _require_same_field(self.field, other.field)
-        return FieldElement(self.field, self.value * other.value)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, -self.value)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("no multiplicative inverse of 0")
-        return FieldElement(self.field, pow(self.value, -1, self.field.p))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field.p == other.field.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.value))
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.field.p})"
 
 
 class ModelVector:
@@ -198,9 +152,6 @@ class ModelVector:
 
     def __len__(self):
         return self.length
-
-    def __getitem__(self, i: int) -> FieldElement:
-        return FieldElement(self.field, self.values[i])
 
     def __add__(self, other: "ModelVector") -> "ModelVector":
         return vec_add(self, other)

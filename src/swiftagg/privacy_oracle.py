@@ -16,8 +16,10 @@ accumulated sequence noise ``ztilde(gamma, t)`` of the chain check, and the
 hiding check evaluates real masking polynomials with ``share_for``.  Each
 result is then counted column by column.
 
-Instance sizes are guarded: enumeration covers p**(#honest models + N*T)
-assignments, rejected above 10**9.
+Sizes are guarded where the work is done: ``enumerate_views`` covers
+p**(#honest models + N*T) assignments, the chain check p**(N*T) and the
+hiding check p**degree; each raises ``TooLargeError`` above
+``ENUMERATION_GUARD`` before it allocates.
 """
 
 from __future__ import annotations
@@ -44,7 +46,16 @@ from .protocol import (
 from .sharing import build_polynomial, share_for
 from .simnet import AdversaryConfig, collect_adversary_view
 
-ENUMERATION_GUARD = 10**9
+# A view enumeration holds about 73 bytes per assignment at its peak, so the
+# guard keeps one under about 0.7 GiB.
+ENUMERATION_GUARD = 10**7
+
+
+def _check_size(assignments: int) -> None:
+    if assignments > ENUMERATION_GUARD:
+        raise TooLargeError(
+            f"enumeration would cover {assignments} assignments (guard: {ENUMERATION_GUARD})"
+        )
 
 
 @dataclass(frozen=True)
@@ -73,11 +84,6 @@ class TinyInstance:
             extra = set(self.colluder_models) - set(self.adversary.colluders)
             if extra:
                 raise ValueError(f"fixed models given for non-colluders {sorted(extra)}")
-        if self.enumeration_size > ENUMERATION_GUARD:
-            raise TooLargeError(
-                f"enumeration would cover {self.enumeration_size} assignments "
-                f"(guard: {ENUMERATION_GUARD})"
-            )
 
     @property
     def honest(self) -> tuple:
@@ -105,13 +111,12 @@ class ViewDistribution:
     """Exact view counts per honest-model assignment, keyed for conditioning.
 
     ``views[w]`` counts canonical views over all noise assignments for the
-    honest-model assignment ``w`` (a tuple aligned with ``honest``);
+    honest-model assignment ``w`` (a tuple aligned with ``instance.honest``);
     ``aggregate_of[w]`` is the sum of the honest users whose shares entered
     the run, i.e. the quantity the privacy statement conditions on.
     """
 
     instance: TinyInstance
-    honest: tuple
     views: dict = dc_field(default_factory=dict)
     aggregate_of: dict = dc_field(default_factory=dict)
 
@@ -170,6 +175,7 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     all-zero assignment; it exists as a negative control and must break
     privacy for any adversary that sees unaggregated material.
     """
+    _check_size(instance.enumeration_size)
     params = instance.params
     spec = params.field
     p = spec.p
@@ -207,7 +213,7 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     ]
     own = list(zip(*own_parts)) if own_parts else [()] * width
 
-    dist = ViewDistribution(instance, honest)
+    dist = ViewDistribution(instance)
     for w in itertools.product(range(p), repeat=len(honest)):
         models = list(base_models)
         for uid, value in zip(honest, w):
@@ -215,7 +221,7 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
         aggregate = sum(w[honest_index[uid]] for uid in contributing) % p
 
         run = execute_protocol(wide, models, noise, timings, positions)
-        view = collect_adversary_view(run.log, instance.adversary, models, noise, positions)
+        view = collect_adversary_view(run.log, instance.adversary, models, noise)
         received = _payload_columns(view.received, width, singles)
         uploads = _payload_columns(view.uploads, width, singles)
         dist.views[w] = Counter(zip(own, received, uploads))
@@ -301,6 +307,7 @@ def check_noise_chain_independence(
         return CheckResult(
             "noise_chain_independence", label, True, detail="single group: vacuous"
         )
+    _check_size(spec.p ** instance.noise_symbol_count)
 
     positions = assign_groups(params)
     by_position = {pos: uid for uid, pos in positions.items()}
@@ -377,8 +384,9 @@ def check_share_hiding(spec: FieldSpec, degree: int) -> CheckResult:
     """
     p = spec.p
     label = f"p{p}_degree{degree}"
-    noise = _enumerated(spec, degree)
     width = p**degree
+    _check_size(width)
+    noise = _enumerated(spec, degree)
     shares = [
         {beta: share_for(poly, beta).values for beta in range(1, p)}
         for poly in (

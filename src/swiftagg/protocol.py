@@ -251,7 +251,6 @@ class ServerState:
 class ProtocolRun(NamedTuple):
     recovered: ModelVector
     log: MessageLog
-    positions: dict
 
 
 def _validate_run_inputs(params, models, noise, timings):
@@ -342,7 +341,7 @@ def execute_protocol(
             if last and msg.payload is not None:
                 server.receive(msg)
 
-    return ProtocolRun(server.recover(params), log, dict(positions))
+    return ProtocolRun(server.recover(params), log)
 
 
 def execute_seeded(

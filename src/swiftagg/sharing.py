@@ -108,9 +108,6 @@ def build_polynomial(model: ModelVector, noise, collusion_bound: int) -> SharePo
         raise ArityMismatchError(
             f"expected {collusion_bound} noise vectors, got {len(noise)}"
         )
-    for z in noise:
-        if z.field.p != model.field.p or len(z) != len(model):
-            raise ArityMismatchError("noise vectors must match the model's field and length")
     return SharePolynomial((model,) + noise)
 
 

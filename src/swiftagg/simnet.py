@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import ViewLeakError
 from .field import ModelVector
 from .protocol import (
     PHASE_UPLOAD,
@@ -82,35 +81,22 @@ def collect_adversary_view(
     adversary: AdversaryConfig,
     models: Sequence[ModelVector],
     noise: Mapping[int, tuple],
-    positions: Mapping[int, "object"],
 ) -> AdversaryView:
-    """Assemble the view from the transcript and assert nothing extra leaked in."""
-    colluder_positions = {positions[uid] for uid in adversary.colluders}
+    """Assemble the view: slots addressed to a colluder, and uploads if the server is curious."""
+    colluders = adversary.colluders
+    colluder_positions = {pos for pos, uid in log.user_of.items() if uid in colluders}
     received = []
     uploads = []
     curious = adversary.server_curious
     for msg in log:
-        if colluder_positions and msg.recipient is not None and msg.recipient in colluder_positions:
+        if msg.recipient in colluder_positions:
             received.append(msg)
         if curious and msg.phase == PHASE_UPLOAD:
             uploads.append(msg)
     inputs = tuple(
-        (uid, models[uid - 1], tuple(noise[uid])) for uid in sorted(adversary.colluders)
+        (uid, models[uid - 1], tuple(noise[uid])) for uid in sorted(colluders)
     )
-    view = AdversaryView(inputs, tuple(received), tuple(uploads))
-    _assert_no_leak(view, adversary, colluder_positions)
-    return view
-
-
-def _assert_no_leak(view, adversary, colluder_positions) -> None:
-    for msg in view.received:
-        if msg.recipient not in colluder_positions:
-            raise ViewLeakError(f"message to {msg.recipient} leaked into the view")
-    for msg in view.uploads:
-        if msg.phase != PHASE_UPLOAD or not adversary.server_curious:
-            raise ViewLeakError("non-upload message leaked into the server view")
-    if not adversary.server_curious and view.uploads:
-        raise ViewLeakError("server uploads present without a curious server")
+    return AdversaryView(inputs, tuple(received), tuple(uploads))
 
 
 @dataclass(frozen=True)
@@ -124,7 +110,6 @@ class RunMetrics:
 
     user_to_user_msgs: int
     server_msgs: int
-    R_uplink_required: int
     max_user_outbound_elems: int
 
 
@@ -144,7 +129,6 @@ def count_loads(log: MessageLog, params: ProtocolParams) -> RunMetrics:
     return RunMetrics(
         user_to_user_msgs=user_to_user,
         server_msgs=server,
-        R_uplink_required=params.t + 1,
         max_user_outbound_elems=max(outbound.values(), default=0),
     )
 
@@ -168,7 +152,7 @@ def simulate(
     adversary.validate_for(params)
     run, noise = execute_seeded(params, models, plan.timings, seed, group_shuffle)
     metrics = count_loads(run.log, params)
-    view = collect_adversary_view(run.log, adversary, models, noise, run.positions)
+    view = collect_adversary_view(run.log, adversary, models, noise)
     return SimulationResult(run.recovered, metrics, view, run.log)
 
 

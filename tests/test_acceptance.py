@@ -199,15 +199,21 @@ def test_criterion_6_field_layer_round_trips():
         points = [(a, poly.eval(a)) for a in alphas]
         assert lagrange_interpolate_at_zero(points, degree) == coeffs[0]
 
-    # field-axiom spot suite on random triples
+    # field-axiom spot suite on random triples of single-entry vectors: sums
+    # through vec_add, products through a Horner step of the share polynomial
     for p in PRIMES:
         f = FieldSpec(p)
+        z = f.zeros(1)
         for _ in range(200):
-            a, b, c = (f.element(rng.randrange(p)) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a * (b + c) == a * b + a * c
-            assert (a + b) - b == a
-            if a.value:
-                assert (a * a.inverse()).value == 1
+            x = rng.randrange(p)
+            a, b, c = (f.vector([v]) for v in (x, rng.randrange(p), rng.randrange(p)))
+            assert vec_add(vec_add(a, b), c) == vec_add(a, vec_add(b, c))
+            assert vec_add(a, b) == vec_add(b, a)
+            assert vec_add(vec_add(a, b), f.vector([-b.values[0]])) == a
+            assert SharePolynomial([z, vec_add(b, c)]).eval(x) == vec_add(
+                SharePolynomial([z, b]).eval(x), SharePolynomial([z, c]).eval(x)
+            )
+            if x:
+                assert SharePolynomial([z, a]).eval(pow(x, -1, p)) == f.vector([1])
     elapsed = time.perf_counter() - start
     report(6, f"10,000 exact interpolation round-trips and field axioms ({elapsed:.1f}s)")

@@ -4,14 +4,20 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swiftagg.cli import (
+    CONFIG_KEYS,
     MAX_SHARE_ENTRIES,
     build_parser,
     build_run_config,
@@ -321,3 +327,75 @@ def test_table_without_a_prime_field_is_config_error(capsys):
     code, _, err = run_cli(capsys, "table", "--t", "2", "--d", "1", "--model-len", "0")
     assert code == 2
     assert "model_len:" in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed arguments
+# ---------------------------------------------------------------------------
+
+EDGE_VALUES = ["0", "-1", "nan", "inf", "", str(1 << 32), "2147483659", "99999999999"]
+fuzz_value = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.sampled_from(["1", "2", "3", "5"]),
+    st.lists(st.sampled_from(EDGE_VALUES + ["1", "2"]), min_size=2, max_size=3).map(",".join),
+)
+# ``reps`` repeats the whole run, so it never draws a large count.
+fuzz_reps = st.sampled_from(["0", "-1", "nan", "inf", "", "1", "2"])
+VALID_SHAPES = [[], ["--n", "12", "--t", "2", "--d", "1"], ["--n", "6", "--t", "1", "--d", "1"]]
+
+
+@st.composite
+def run_arguments(draw, config_path):
+    """``run`` flags over a valid or missing shape, plus a fuzzed config file."""
+    def value(key):
+        return draw(fuzz_reps if key == "reps" else fuzz_value)
+
+    keys = st.lists(st.sampled_from(sorted(CONFIG_KEYS)), unique=True, max_size=2)
+    argv = ["run", *draw(st.sampled_from(VALID_SHAPES)), "--config", config_path]
+    for key in draw(keys):
+        flag = "--" + key.replace("_", "-")
+        if key in ("server_curious", "shuffle_groups"):
+            argv.append(draw(st.sampled_from([flag, "--no-" + flag[2:]])))
+        elif key in ("drop", "adversary"):
+            argv += [flag, *draw(st.lists(fuzz_value, min_size=1, max_size=2))]
+        else:
+            argv += [flag, value(key)]
+    config = "".join(f"{key}={value(key)}\n" for key in draw(keys))
+    return argv, config
+
+
+@st.composite
+def table_arguments(draw):
+    argv = ["table", "--t", draw(fuzz_value), "--d", draw(fuzz_value)]
+    if draw(st.booleans()):
+        argv += ["--model-len", draw(fuzz_value)]
+    return argv, ""
+
+
+@settings(max_examples=300, deadline=5000)
+@given(pick=st.data())
+def test_fuzzed_arguments_exit_cleanly(pick):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "fuzz.cfg")
+        argv, config = pick.draw(st.one_of(run_arguments(path), table_arguments()))
+        Path(path).write_text(config)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag value
+                code = exc.code
+    assert code in (0, 1, 2), (argv, config)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        (line,) = [line for line in err.getvalue().splitlines() if "error: " in line]
+        _, unknown, tokens = line.partition("error: unrecognized arguments: ")
+        if unknown:
+            # argparse takes a dash-led value after a list flag, such as
+            # "-1,0", for an unknown option and names that token instead.
+            assert tokens.startswith("-") and set(tokens.split(" ")) <= set(argv), line
+        else:
+            named = re.search(r"error: (?:argument --)?([a-z_-]+):", line)
+            assert named, line
+            assert named.group(1).replace("-", "_") in CONFIG_KEYS | {"config"}, line

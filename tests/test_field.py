@@ -58,55 +58,6 @@ def test_modulus_bound():
         FieldSpec((1 << 32) + 15)
 
 
-def test_add_wraps():
-    f = FieldSpec(7)
-    assert (f.element(3) + f.element(5)).value == 1  # 8 mod 7
-
-
-def test_inv_identity():
-    f = FieldSpec(7)
-    assert f.element(1).inverse().value == 1
-
-
-def test_inv_matches_brute_force():
-    # oracle: scan for k with 3k = 1 mod 11
-    p = 11
-    k = next(k for k in range(1, p) if (3 * k) % p == 1)
-    assert k == 4
-    assert FieldSpec(p).element(3).inverse().value == k
-
-
-def test_inv_of_zero_rejected():
-    f = FieldSpec(11)
-    with pytest.raises(ZeroDivisionError):
-        f.element(0).inverse()
-
-
-def test_mixed_field_rejected():
-    a = FieldSpec(7).element(1)
-    b = FieldSpec(11).element(1)
-    with pytest.raises(MixedFieldError):
-        a + b
-    with pytest.raises(MixedFieldError):
-        a * b
-
-
-def test_field_axioms_on_random_triples():
-    rng = random.Random(7)
-    for p in PRIMES:
-        f = FieldSpec(p)
-        for _ in range(50):
-            a, b, c = (f.element(rng.randrange(p)) for _ in range(3))
-            assert (a + b) + c == a + (b + c)
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert (a + b) - b == a
-            if a.value != 0:
-                assert (a * a.inverse()).value == 1
-
-
 def test_vec_add_examples():
     f7 = FieldSpec(7)
     assert vec_add(f7.vector([1, 2]), f7.vector([6, 5])).values == (0, 0)
@@ -210,6 +161,6 @@ def test_vector_entries_reduced_and_immutable():
     f = FieldSpec(7)
     v = ModelVector(f, [9, -1])
     assert v.values == (2, 6)
-    assert v[1].value == 6
+    assert v.values[1] == 6
     with pytest.raises(ValueError):
         ModelVector(f, [])

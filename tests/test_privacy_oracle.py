@@ -63,9 +63,19 @@ def test_instance_bounds_enforced():
 
 
 def test_enumeration_guard_rejects_large_instances():
-    # 7**(6 + 12) assignments is far beyond the guard
+    # Each raises before it allocates; none of these may ever be enumerated.
+    server = AdversaryConfig.server_only()
+    for instance in (
+        tiny(6, 2, 0, 7, server),  # 7**(6 + 12) assignments
+        tiny(6, 1, 1, 5, server),  # 5**(6 + 6), about 17 GiB of views
+        tiny(4, 2, 1, 7, AdversaryConfig.of([1, 2])),  # 7**(2 + 8)
+    ):
+        with pytest.raises(TooLargeError):
+            enumerate_views(instance)
     with pytest.raises(TooLargeError):
-        tiny(6, 2, 0, 7, AdversaryConfig.server_only())
+        check_noise_chain_independence(tiny(6, 2, 0, 7, server))  # 7**12
+    with pytest.raises(TooLargeError):
+        check_share_hiding(FieldSpec(11), 7)  # 11**7
 
 
 def test_fixed_models_only_for_colluders():
@@ -130,7 +140,7 @@ def reference_views(instance, zero_noise=False):
                 for uid in range(1, params.n + 1)
             }
             run = execute_protocol(params, models, noise, instance.plan.timings, positions)
-            view = collect_adversary_view(run.log, instance.adversary, models, noise, positions)
+            view = collect_adversary_view(run.log, instance.adversary, models, noise)
             counter[view.canonical()] += 1
         views[w] = counter
         aggregate_of[w] = sum(

@@ -188,7 +188,6 @@ def test_upload_equals_unrolled_group_sums():
     models = random_models(params, 13)
     noise = sampled_noise(params, seed=6)
     run = execute_protocol(params, models, noise, {})
-    positions = run.positions
     polys = {
         uid: build_polynomial(models[uid - 1], noise[uid], params.t)
         for uid in range(1, 13)
@@ -199,7 +198,7 @@ def test_upload_equals_unrolled_group_sums():
         t = msg.t
         q_sums = []
         for gamma in range(1, params.num_groups + 1):
-            members = [uid for uid, pos in positions.items() if pos.gamma == gamma]
+            members = [uid for pos, uid in run.log.user_of.items() if pos.gamma == gamma]
             q_sums.append(
                 field_sum(params.field, [share_for(polys[uid], t) for uid in members])
             )

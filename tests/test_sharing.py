@@ -9,6 +9,8 @@ import pytest
 from swiftagg.errors import (
     ArityMismatchError,
     InsufficientPointsError,
+    LengthMismatchError,
+    MixedFieldError,
     ZeroEvaluationPointError,
 )
 from swiftagg.field import (
@@ -52,8 +54,10 @@ def test_arity_mismatch():
     f = FieldSpec(7)
     with pytest.raises(ArityMismatchError):
         build_polynomial(f.vector([1]), [f.vector([2])], 2)
-    with pytest.raises(ArityMismatchError):
+    with pytest.raises(LengthMismatchError):
         build_polynomial(f.vector([1]), [f.vector([2, 3])], 1)
+    with pytest.raises(MixedFieldError):
+        build_polynomial(f.vector([1]), [FieldSpec(11).vector([2])], 1)
 
 
 def test_share_matches_poly_eval_oracle():
