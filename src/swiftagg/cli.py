@@ -7,9 +7,10 @@ Three subcommands:
 * ``privacy``  -- run the exhaustive tiny-instance privacy checks.
 * ``table``    -- emit the communication-load comparison rows.
 
-Flags override values from an optional ``key=value`` config file.  Exit code
-is 0 on success, 1 when a correctness check or privacy verdict fails, and 2
-for configuration errors.
+Each key in ``RUN_KEYS`` is both a ``run`` flag and a line of an optional
+``key=value`` config file; both give text that the key's one reader reads, and
+a flag overrides the file.  Exit code is 0 on success, 1 when a correctness
+check or privacy verdict fails, and 2 for configuration errors.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, IndivisibleNError, SwiftAggError, TooLargeError
 from .field import MAX_MODULUS, FieldSpec, is_prime
@@ -33,21 +34,76 @@ from .simnet import AdversaryConfig, simulate, table1_analytic
 
 RESULT_FIELDS = ("recovered_ok", "r_user", "r_uplink_actual", "r_uplink_required", "elapsed")
 
-DEFAULTS = {
-    "model_len": 8,
-    "field": (1 << 31) - 1,
-    "seed": 0,
-    "drop_rate": None,
-    "server_curious": False,
-    "reps": 1,
-    "format": "json",
-    "shuffle_groups": False,
+
+def _ids(text: str) -> tuple:
+    return tuple(int(part) for part in text.split(",")) if text else ()
+
+
+def _rate(text: str) -> Optional[float]:
+    return float(text) if text else None
+
+
+def _boolean(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+def _out_format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError(text)
+    return text
+
+
+class RunKey(NamedTuple):
+    read: Callable[[str], object]  # raises ValueError on a bad value
+    what: str  # what a bad value's message says was expected
+    default: Optional[str]  # as a config file would give it; None: required
+    help: str
+
+
+# Every key of ``run``: each is a flag and a config-file key, read alike.
+RUN_KEYS = {
+    "n": RunKey(int, "an integer", None, "number of users"),
+    "t": RunKey(int, "an integer", None, "collusion bound"),
+    "d": RunKey(int, "an integer", None, "dropout bound"),
+    "model_len": RunKey(int, "an integer", "8", "model vector length"),
+    "field": RunKey(int, "an integer", str((1 << 31) - 1), "prime field modulus"),
+    "seed": RunKey(int, "an integer", "0", "run seed"),
+    "drop": RunKey(_ids, "comma-separated ids", "", "explicit dropout user ids"),
+    "drop_rate": RunKey(
+        _rate, "a number", "", "sample victims uniformly without replacement, capped at d"
+    ),
+    "adversary": RunKey(_ids, "comma-separated ids", "", "colluding user ids"),
+    "server_curious": RunKey(
+        _boolean, "a boolean", "false", "include server uploads in the adversary view"
+    ),
+    "reps": RunKey(int, "an integer", "1", "number of repetitions"),
+    "format": RunKey(_out_format, "json or csv", "json", "output format"),
+    "shuffle_groups": RunKey(
+        _boolean, "a boolean", "false",
+        "seeded random group assignment instead of the contiguous layout",
+    ),
 }
-# Every key a config file may set: the long flags of ``run`` without --config.
-CONFIG_KEYS = frozenset(DEFAULTS) | {"n", "t", "d", "drop", "adversary"}
+CONFIG_KEYS = frozenset(RUN_KEYS)
 # Most share entries, n * (t+d+1) * model_len, one run may hold: at this size
 # a run peaks near 400 MiB and takes about 3 s.
 MAX_SHARE_ENTRIES = 1 << 24
+
+
+def _bad_value(key: str, text: str) -> ConfigError:
+    return ConfigError(f"{key}: expected {RUN_KEYS[key].what}, got {text!r}")
+
+
+def _read(key: str, text: str):
+    """Read one value of ``key`` with its reader, whether a flag or a file gave it."""
+    try:
+        return RUN_KEYS[key].read(text)
+    except ValueError:
+        raise _bad_value(key, text) from None
 
 
 @dataclass
@@ -89,53 +145,6 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _as_bool(field_name: str, raw) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).lower()
-    if text in ("true", "1", "yes"):
-        return True
-    if text in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{field_name}: expected a boolean, got {raw!r}")
-
-
-def _as_int(field_name: str, raw) -> int:
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field_name}: expected an integer, got {raw!r}") from None
-
-
-def _as_float(field_name: str, raw) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field_name}: expected a number, got {raw!r}") from None
-
-
-def _as_id_list(field_name: str, raw) -> tuple:
-    if raw is None:
-        return ()
-    if isinstance(raw, (list, tuple)):
-        return tuple(int(v) for v in raw)
-    text = str(raw).strip()
-    if not text:
-        return ()
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"{field_name}: expected comma-separated ids, got {raw!r}") from None
-
-
-def _merge(flag_value, file_values: dict, key: str, default):
-    if flag_value is not None:
-        return flag_value
-    if key in file_values:
-        return file_values[key]
-    return default
-
-
 def _checked(prefix: str, build, *args):
     """Call into the library, turning its rejection into a ``ConfigError``.
 
@@ -157,41 +166,23 @@ def _checked(prefix: str, build, *args):
 def build_run_config(args) -> RunConfig:
     """Resolve flags over file values over defaults; the library checks the bounds."""
     file_values = _parse_config_file(args.config) if args.config else {}
-
-    def pick(key, default=None):
-        return _merge(getattr(args, key.replace("-", "_")), file_values, key, default)
-
-    n = pick("n")
-    t = pick("t")
-    d = pick("d")
-    if n is None:
-        raise ConfigError("n: required (flag --n or config file)")
-    if t is None:
-        raise ConfigError("t: required (flag --t or config file)")
-    if d is None:
-        raise ConfigError("d: required (flag --d or config file)")
-    n, t, d = _as_int("n", n), _as_int("t", t), _as_int("d", d)
-
-    model_len = _as_int("model_len", pick("model_len", DEFAULTS["model_len"]))
-    modulus = _as_int("field", pick("field", DEFAULTS["field"]))
-    seed = _as_int("seed", pick("seed", DEFAULTS["seed"]))
-    reps = _as_int("reps", pick("reps", DEFAULTS["reps"]))
-    out_format = str(pick("format", DEFAULTS["format"]))
-    drop = _as_id_list("drop", pick("drop"))
-    raw_rate = pick("drop_rate", DEFAULTS["drop_rate"])
-    drop_rate = None if raw_rate in (None, "") else _as_float("drop_rate", raw_rate)
-    colluders = _as_id_list("adversary", pick("adversary"))
-    server_curious = _as_bool(
-        "server_curious", pick("server_curious", DEFAULTS["server_curious"])
-    )
-    shuffle_groups = _as_bool(
-        "shuffle_groups", pick("shuffle_groups", DEFAULTS["shuffle_groups"])
+    values = {}
+    for key, row in RUN_KEYS.items():
+        flag = getattr(args, key)
+        if isinstance(flag, list):  # the tokens after --drop or --adversary
+            flag = ",".join(flag)
+        # str() turns the bool of a --x/--no-x flag into text too.
+        text = file_values.get(key, row.default) if flag is None else str(flag)
+        if text is None:
+            raise ConfigError(f"{key}: required (flag --{key} or config file)")
+        values[key] = _read(key, text)
+    n, t, d, model_len = values["n"], values["t"], values["d"], values["model_len"]
+    drop, drop_rate, colluders, reps = (
+        values["drop"], values["drop_rate"], values["adversary"], values["reps"]
     )
 
     if reps < 1:
         raise ConfigError(f"reps: must be >= 1, got {reps}")
-    if out_format not in ("json", "csv"):
-        raise ConfigError(f"format: expected json or csv, got {out_format!r}")
     if drop and drop_rate is not None:
         raise ConfigError("drop_rate: give either an explicit drop list or a rate, not both")
     if drop_rate is not None and not 0.0 <= drop_rate <= 1.0:
@@ -202,7 +193,7 @@ def build_run_config(args) -> RunConfig:
     if len(set(colluders)) != len(colluders):
         raise ConfigError("adversary: duplicate user ids")
 
-    spec = _checked("field: ", FieldSpec, modulus)
+    spec = _checked("field: ", FieldSpec, values["field"])
     params = _checked("", ProtocolParams, n, t, d, model_len, spec)
     entries = n * params.group_size * model_len
     if entries > MAX_SHARE_ENTRIES:
@@ -213,23 +204,19 @@ def build_run_config(args) -> RunConfig:
             f"the limit {MAX_SHARE_ENTRIES}"
         )
     _checked("drop: ", DropoutPlan.uniform(drop).validate_for, params)
-    adversary = AdversaryConfig.of(colluders, server_curious)
+    adversary = AdversaryConfig.of(colluders, values["server_curious"])
     _checked("adversary: ", adversary.validate_for, params)
 
     return RunConfig(
         params=params,
-        seed=seed,
+        seed=values["seed"],
         drop=drop,
         drop_rate=drop_rate,
         adversary=adversary,
         reps=reps,
-        out_format=out_format,
-        shuffle_groups=shuffle_groups,
+        out_format=values["format"],
+        shuffle_groups=values["shuffle_groups"],
     )
-
-
-def _random_models(params: ProtocolParams, rng: random.Random) -> list:
-    return list(sample_noise(params.field, params.n, params.model_len, rng))
 
 
 def _sample_victims(config: RunConfig, rng: random.Random) -> tuple:
@@ -255,7 +242,7 @@ def run_experiments(config: RunConfig, out=None) -> int:
     all_ok = True
     for rep in range(config.reps):
         rep_rng = random.Random(derive_subseed(config.seed, f"rep-{rep}"))
-        models = _random_models(params, rep_rng)
+        models = list(sample_noise(params.field, params.n, params.model_len, rep_rng))
         victims = _sample_victims(config, rep_rng)
         plan = DropoutPlan.uniform(victims)
 
@@ -328,31 +315,27 @@ def _smallest_prime_above(bound: int) -> int:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, help="number of users")
-    parser.add_argument("--t", type=int, help="collusion bound")
-    parser.add_argument("--d", type=int, help="dropout bound")
-    parser.add_argument("--model-len", type=int, dest="model_len", help="model vector length")
-    parser.add_argument("--field", type=int, help="prime field modulus")
-    parser.add_argument("--seed", type=int, help="run seed")
-    parser.add_argument("--drop", type=int, nargs="+", help="explicit dropout user ids")
-    parser.add_argument(
-        "--drop-rate", type=float, dest="drop_rate",
-        help="sample victims uniformly without replacement, capped at d",
-    )
-    parser.add_argument("--adversary", type=int, nargs="+", help="colluding user ids")
-    parser.add_argument(
-        "--server-curious", dest="server_curious",
-        action=argparse.BooleanOptionalAction, default=None,
-        help="include server uploads in the adversary view",
-    )
-    parser.add_argument("--reps", type=int, help="number of repetitions")
-    parser.add_argument("--format", choices=("json", "csv"), help="output format")
-    parser.add_argument(
-        "--shuffle-groups", dest="shuffle_groups",
-        action=argparse.BooleanOptionalAction, default=None,
-        help="seeded random group assignment instead of the contiguous layout",
-    )
+    # Flags give text, as a config line does; build_run_config reads both.
+    for key, row in RUN_KEYS.items():
+        flag = "--" + key.replace("_", "-")
+        if row.read is _boolean:
+            parser.add_argument(
+                flag, dest=key, action=argparse.BooleanOptionalAction, help=row.help
+            )
+        else:
+            nargs = "*" if row.read is _ids else None
+            parser.add_argument(flag, dest=key, nargs=nargs, help=row.help)
     parser.add_argument("--config", help="key=value config file; flags take precedence")
+
+
+def _reject_dash_led_ids(argv: Sequence[str], leftover: Sequence[str]) -> None:
+    """Name the list flag behind a value argparse took for an option, e.g. ``-1,0``."""
+    flag = None
+    for token in argv:
+        if token.startswith("--"):
+            flag = token
+        elif token.startswith("-") and token in leftover and flag in ("--drop", "--adversary"):
+            raise _bad_value(flag[2:], token)  # no user id starts with a dash
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,21 +354,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     table_parser = sub.add_parser("table", help="communication-load comparison rows")
-    table_parser.add_argument("--t", type=int, required=True)
-    table_parser.add_argument("--d", type=int, required=True)
-    table_parser.add_argument("--model-len", type=int, dest="model_len", default=1)
+    table_parser.add_argument("--t", required=True)
+    table_parser.add_argument("--d", required=True)
+    table_parser.add_argument("--model-len", dest="model_len", default="1")
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, leftover = parser.parse_known_args(argv)
     try:
+        if leftover:
+            if args.command == "run":
+                _reject_dash_led_ids(argv, leftover)
+            parser.error(f"unrecognized arguments: {' '.join(leftover)}")
         if args.command == "run":
             return run_experiments(build_run_config(args))
         if args.command == "privacy":
             return run_privacy(args.no_noise)
-        return run_table(args.t, args.d, args.model_len)
+        return run_table(*(_read(key, getattr(args, key)) for key in ("t", "d", "model_len")))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

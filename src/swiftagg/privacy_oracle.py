@@ -241,6 +241,15 @@ def _payload_columns(messages, width: int, singles: list):
     ))
 
 
+def _first_difference(a: Counter, b: Counter):
+    """The first key, in first-seen order, counted differently in ``a`` and ``b``.
+
+    Set order would depend on hashes, and ``hash(None)`` differs between
+    processes on Python < 3.12, so a witness would too.
+    """
+    return next(k for k in itertools.chain(a, b) if a[k] != b[k])
+
+
 def check_conditional_independence(dist: ViewDistribution) -> CheckResult:
     """Exact-MI verdict: within each aggregate class, all view multisets match.
 
@@ -260,19 +269,16 @@ def check_conditional_independence(dist: ViewDistribution) -> CheckResult:
             candidate = dist.views[w]
             if candidate == reference:
                 continue
-            for view_key in reference.keys() | candidate.keys():
-                if reference[view_key] != candidate[view_key]:
-                    witness = {
-                        "aggregate": aggregate,
-                        "assignment_a": list(members[0]),
-                        "assignment_b": list(w),
-                        "view": repr(view_key),
-                        "count_a": reference[view_key],
-                        "count_b": candidate[view_key],
-                    }
-                    return CheckResult(
-                        "conditional_independence", label, False, witness
-                    )
+            view_key = _first_difference(reference, candidate)
+            witness = {
+                "aggregate": aggregate,
+                "assignment_a": list(members[0]),
+                "assignment_b": list(w),
+                "view": repr(view_key),
+                "count_a": reference[view_key],
+                "count_b": candidate[view_key],
+            }
+            return CheckResult("conditional_independence", label, False, witness)
     return CheckResult(
         "conditional_independence",
         label,
@@ -400,10 +406,7 @@ def check_share_hiding(spec: FieldSpec, degree: int) -> CheckResult:
             for secret in range(1, p):
                 counter = Counter(zip(*(shares[secret][beta] for beta in combo)))
                 if counter != reference:
-                    diff = next(
-                        k for k in reference.keys() | counter.keys()
-                        if reference[k] != counter[k]
-                    )
+                    diff = _first_difference(reference, counter)
                     return CheckResult(
                         "share_hiding",
                         label,

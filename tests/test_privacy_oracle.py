@@ -233,6 +233,22 @@ def test_no_noise_with_colluder_is_witnessed():
     assert "witness" in blob
 
 
+def test_witness_is_the_first_differing_view_in_first_seen_order():
+    # A view with a null slot: set order over such views followed hash(None),
+    # which differs between processes on Python < 3.12.
+    adversary = AdversaryConfig.of([1], server_curious=True)
+    instance = tiny(4, 1, 2, 5, adversary, plan=DropoutPlan.uniform([3], BEFORE_SHARING))
+    result = check_conditional_independence(enumerate_views(instance, zero_noise=True))
+    assert result.witness == {
+        "aggregate": 0,
+        "assignment_a": [0, 0, 0],
+        "assignment_b": [1, 0, 4],
+        "view": "(((1, (0,), ((0,),)),), ((0,), None, (0,)), ((0,), (0,), None, (0,)))",
+        "count_a": 1,
+        "count_b": 0,
+    }
+
+
 def test_no_colluders_no_curious_server_trivially_independent():
     instance = tiny(2, 1, 0, 5, AdversaryConfig.none())
     dist = enumerate_views(instance)
