@@ -330,12 +330,16 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 def _reject_dash_led_ids(argv: Sequence[str], leftover: Sequence[str]) -> None:
     """Name the list flag behind a value argparse took for an option, e.g. ``-1,0``."""
-    flag = None
+    flags = ["--" + key.replace("_", "-") for key in RUN_KEYS]
+    key = None
     for token in argv:
         if token.startswith("--"):
-            flag = token
-        elif token.startswith("-") and token in leftover and flag in ("--drop", "--adversary"):
-            raise _bad_value(flag[2:], token)  # no user id starts with a dash
+            # As argparse resolves it: the exact flag, else the one flag it begins.
+            head = token.split("=", 1)[0]
+            named = [f for f in flags if f == head] or [f for f in flags if f.startswith(head)]
+            key = named[0][2:] if len(named) == 1 else None
+        elif token.startswith("-") and token in leftover and key in ("drop", "adversary"):
+            raise _bad_value(key, token)  # no user id starts with a dash
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,11 +10,11 @@ the same statement as zero mutual information.
 
 Every protocol step acts coordinate by coordinate, so every check batches
 its noise assignments into vector coordinates (``_enumerated``) and computes
-on the package's own kernels: one run per honest-model assignment carries
-all noise assignments of the view check, one zero-model run yields every
-accumulated sequence noise ``ztilde(gamma, t)`` of the chain check, and the
-hiding check evaluates real masking polynomials with ``share_for``.  Each
-result is then counted column by column.
+on the package's own kernels: one run per chunk of honest-model
+assignments carries all noise assignments of the view check, one zero-model
+run yields every accumulated sequence noise ``ztilde(gamma, t)`` of the
+chain check, and the hiding check evaluates real masking polynomials with
+``share_for``.  Each result is then counted column by column.
 
 Sizes are guarded where the work is done: ``enumerate_views`` covers
 p**(#honest models + N*T) assignments, the chain check p**(N*T) and the
@@ -46,9 +46,12 @@ from .protocol import (
 from .sharing import build_polynomial, share_for
 from .simnet import AdversaryConfig, collect_adversary_view
 
-# A view enumeration holds about 73 bytes per assignment at its peak, so the
+# A view enumeration holds about 75 bytes per assignment at its peak, so the
 # guard keeps one under about 0.7 GiB.
 ENUMERATION_GUARD = 10**7
+
+# Most columns one view-enumeration run carries; a run takes at least one assignment.
+RUN_COLUMNS = 1 << 14
 
 
 def _check_size(assignments: int) -> None:
@@ -168,12 +171,13 @@ def _widened(params: ProtocolParams, width: int) -> ProtocolParams:
 def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDistribution:
     """Count the adversary view for every (honest models, all noise) assignment.
 
-    One protocol run per honest-model assignment carries every noise
-    assignment of the ``N*T`` slots from ``_enumerated``, and each model is
-    a constant vector, so column ``k`` of the view is exactly the canonical
-    view of a scalar run on assignment ``k``.  ``zero_noise`` keeps only the
-    all-zero assignment; it exists as a negative control and must break
-    privacy for any adversary that sees unaggregated material.
+    One protocol run covers a chunk of up to ``RUN_COLUMNS // p**(N*T)``
+    honest-model assignments: block ``j`` of its columns holds every noise
+    assignment of the ``N*T`` slots from ``_enumerated`` with the ``j``-th
+    assignment's constant models, so each column is exactly the canonical
+    view of a scalar run.  ``zero_noise`` keeps only the all-zero
+    assignment; it exists as a negative control and must break privacy for
+    any adversary that sees unaggregated material.
     """
     _check_size(instance.enumeration_size)
     params = instance.params
@@ -186,21 +190,17 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     columns = _enumerated(spec, instance.noise_symbol_count, zero_noise)
     width = len(columns[0])
     # Slot (uid, j) is entry (uid - 1) * T + j of every noise assignment.
-    noise = {
-        uid: columns[(uid - 1) * params.t : uid * params.t]
-        for uid in range(1, params.n + 1)
-    }
-    wide = _widened(params, width)
-    const = [ModelVector._raw(spec, (v,) * width) for v in range(p)]
+    noise = {uid: columns[(uid - 1) * params.t : uid * params.t] for uid in range(1, params.n + 1)}
     singles = [(v,) for v in range(p)]
+    # One block's lanes as bytes: each noise vector, and a constant model per value.
+    noise_bytes = {
+        uid: [z.lanes.to_bytes(8 * width, "little") for z in zs] for uid, zs in noise.items()
+    }
+    blocks = [v.to_bytes(8, "little") * width for v in range(p)]
 
     # Contributing honest users: everyone whose shares entered the run.
-    contributing = [
-        uid for uid in honest if timings.get(uid) != BEFORE_SHARING
-    ]
+    contributing = [uid for uid in honest if timings.get(uid) != BEFORE_SHARING]
     honest_index = {uid: i for i, uid in enumerate(honest)}
-
-    base_models = [const[instance.fixed_model_of(uid)] for uid in range(1, params.n + 1)]
 
     # Colluder models and noise do not depend on the honest models, so the
     # colluder-inputs part of every column's key is built once.
@@ -214,19 +214,33 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     own = list(zip(*own_parts)) if own_parts else [()] * width
 
     dist = ViewDistribution(instance)
-    for w in itertools.product(range(p), repeat=len(honest)):
-        models = list(base_models)
-        for uid, value in zip(honest, w):
-            models[uid - 1] = const[value]
-        aggregate = sum(w[honest_index[uid]] for uid in contributing) % p
-
-        run = execute_protocol(wide, models, noise, timings, positions)
-        view = collect_adversary_view(run.log, instance.adversary, models, noise)
-        received = _payload_columns(view.received, width, singles)
-        uploads = _payload_columns(view.uploads, width, singles)
-        dist.views[w] = Counter(zip(own, received, uploads))
-        dist.aggregate_of[w] = aggregate
+    assignments = itertools.product(range(p), repeat=len(honest))
+    while chunk := list(itertools.islice(assignments, max(1, RUN_COLUMNS // width))):
+        total = len(chunk) * width
+        # Block j of the columns is chunk[j]'s run: noise repeats, models are constant.
+        wide_noise = {
+            uid: tuple(_from_lanes(spec, b * len(chunk)) for b in bs)
+            for uid, bs in noise_bytes.items()
+        }
+        held = {
+            u: (instance.fixed_model_of(u),) * len(chunk) for u in instance.adversary.colluders
+        }
+        held.update(zip(honest, zip(*chunk)))
+        models = [_from_lanes(spec, b"".join([blocks[v] for v in held[u]])) for u in sorted(held)]
+        run = execute_protocol(_widened(params, total), models, wide_noise, timings, positions)
+        view = collect_adversary_view(run.log, instance.adversary, models, wide_noise)
+        received = _payload_columns(view.received, total, singles)
+        uploads = _payload_columns(view.uploads, total, singles)
+        for w in chunk:
+            # ``own`` is one block long, so each Counter takes its own columns.
+            dist.views[w] = Counter(zip(own, received, uploads))
+            dist.aggregate_of[w] = sum(w[honest_index[uid]] for uid in contributing) % p
     return dist
+
+
+def _from_lanes(spec: FieldSpec, lanes: bytes) -> ModelVector:
+    """The vector whose entries, all in [0, p), are ``lanes``, 8 little-endian bytes each."""
+    return ModelVector._packed(spec, int.from_bytes(lanes, "little"), len(lanes) // 8, spec.p - 1)
 
 
 def _payload_columns(messages, width: int, singles: list):
@@ -267,7 +281,8 @@ def check_conditional_independence(dist: ViewDistribution) -> CheckResult:
         reference = dist.views[members[0]]
         for w in members[1:]:
             candidate = dist.views[w]
-            if candidate == reference:
+            # dict.__eq__ skips Counter's generator walk; neither holds a zero count.
+            if dict.__eq__(candidate, reference):
                 continue
             view_key = _first_difference(reference, candidate)
             witness = {
@@ -405,7 +420,7 @@ def check_share_hiding(spec: FieldSpec, degree: int) -> CheckResult:
             reference = Counter(zip(*(shares[0][beta] for beta in combo)))
             for secret in range(1, p):
                 counter = Counter(zip(*(shares[secret][beta] for beta in combo)))
-                if counter != reference:
+                if not dict.__eq__(counter, reference):
                     diff = _first_difference(reference, counter)
                     return CheckResult(
                         "share_hiding",

@@ -415,6 +415,17 @@ def test_table_reads_flags_like_run(capsys):
     assert err == "error: model_len: expected an integer, got ''\n"
 
 
+def test_abbreviated_list_flag_names_its_key(capsys):
+    # argparse takes any unambiguous prefix of --adversary, and --flag=value.
+    for flag in (["--adv", "0"], ["--a", "0"], ["--adversary=0"]):
+        code, out, err = run_cli(
+            capsys, "run", "--n", "12", "--t", "2", "--d", "1", *flag, "-1,0"
+        )
+        assert code == 2, flag
+        assert out == ""
+        assert err == "error: adversary: expected comma-separated ids, got '-1,0'\n", flag
+
+
 def test_unknown_flag_keeps_argparse_message(capsys):
     for argv in (["--bogus", "-1,0"], ["4"]):
         with pytest.raises(SystemExit) as exc:

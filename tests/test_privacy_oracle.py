@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from swiftagg import privacy_oracle
 from swiftagg.errors import TooLargeError
 from swiftagg.field import FieldSpec, ModelVector
 from swiftagg.privacy_oracle import (
@@ -178,6 +179,62 @@ def test_batched_enumeration_matches_per_assignment_runs():
             assert dist.views == views, case
             assert list(dist.views) == list(views), case
             assert dist.aggregate_of == aggregate_of, case
+
+
+def test_forced_chunking_matches_per_assignment_runs(monkeypatch):
+    default = privacy_oracle.RUN_COLUMNS
+    instances = default_instances()[:2] + [
+        TinyInstance(
+            make_params(3, 1, 1),
+            DropoutPlan({2: MID_SEQUENCE}),
+            AdversaryConfig.of([1], server_curious=True),
+            colluder_models={1: 3},
+        )
+    ]
+    for instance in instances:
+        for zero_noise in (False, True):
+            views, aggregate_of = reference_views(instance, zero_noise=zero_noise)
+            width = 1 if zero_noise else instance.params.field.p ** instance.noise_symbol_count
+            # One column per run (a chunk is then one assignment), exactly one
+            # noise block, four blocks plus a column (divides neither 25 nor
+            # 27 assignments), and the default.
+            for cap in (1, width, 4 * width + 1, default):
+                monkeypatch.setattr(privacy_oracle, "RUN_COLUMNS", cap)
+                dist = enumerate_views(instance, zero_noise=zero_noise)
+                case = (instance.label, zero_noise, cap)
+                assert dist.views == views, case
+                assert list(dist.views) == list(views), case
+                assert dist.aggregate_of == aggregate_of, case
+    # The zero-noise control's witness, as `swiftagg privacy --no-noise` pins it.
+    for cap in (1, 4, 26, default):
+        monkeypatch.setattr(privacy_oracle, "RUN_COLUMNS", cap)
+        dist = enumerate_views(default_instances()[1], zero_noise=True)
+        assert check_conditional_independence(dist).witness == {
+            "aggregate": 0,
+            "assignment_a": [0, 0, 0],
+            "assignment_b": [0, 1, 2],
+            "view": "(((3, (0,), ((0,),)),), ((0,), (0,)), ((0,), (0,)))",
+            "count_a": 1,
+            "count_b": 0,
+        }, cap
+
+
+def test_enumeration_makes_one_run_per_chunk(monkeypatch):
+    # 27 honest-model assignments fit one run with noise (81 columns each)
+    # and without; one run per assignment would make 27.
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args[0].model_len)
+        return execute_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(privacy_oracle, "execute_protocol", counted)
+    instance = default_instances()[1]
+    assert instance.label == "n4_t1_d0_p3_server_plus_colluder"
+    for zero_noise, columns in ((False, 27 * 81), (True, 27)):
+        runs.clear()
+        enumerate_views(instance, zero_noise=zero_noise)
+        assert runs == [columns], zero_noise
 
 
 # ---------------------------------------------------------------------------
