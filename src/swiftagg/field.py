@@ -201,6 +201,18 @@ def _unpack(packed: int, length: int) -> tuple:
     return _codec(length).unpack(packed.to_bytes(8 * length, "little"))
 
 
+def _spread_words(words: int, length: int) -> int:
+    """Lanes holding the ``length`` 32-bit words of ``words``, least significant first.
+
+    One strided copy moves each 4-byte word, byte for byte, into the low
+    half of its 8-byte lane; the high halves stay zero.
+    """
+    source = memoryview(words.to_bytes(4 * length, "little")).cast("I")
+    lanes = bytearray(8 * length)
+    memoryview(lanes).cast("I")[0::2] = source
+    return int.from_bytes(lanes, "little")
+
+
 @lru_cache(maxsize=64)
 def _barrett(length: int, p: int) -> tuple:
     """Masks and multipliers that reduce all lanes mod ``p``.

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swiftagg.field
+import swiftagg.sharing
 from swiftagg.field import (
     FieldSpec,
     ModelVector,
@@ -131,15 +132,91 @@ def test_mid_horner_reduction_at_largest_prime():
         assert SharePolynomial(coeffs).eval(p - 1).values == ref_eval(rows, p - 1, p)
 
 
-@pytest.mark.parametrize("p", [101, (1 << 31) - 1])
+def per_entry_noise(f, count, length, rng):
+    return [tuple(uniform_element(f, rng) for _ in range(length)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("p", PRIMES + [5, 7, 65521])
 def test_sample_noise_matches_per_entry_draws(p):
-    # At p = 101, 7-bit draws are rejected about 21% of the time.
+    # At p = 101, 7-bit draws are rejected about 21% of the time, and at
+    # 2147483659 about half.  Lengths 7 and 8 sit on either side of the
+    # packed path's length gate; 65521 at 2,048 entries rejects about one
+    # vector in three on that path.
     f = FieldSpec(p)
-    batched, looped = random.Random(2024), random.Random(2024)
-    noise = sample_noise(f, 3, 200, batched)
-    expected = [tuple(uniform_element(f, looped) for _ in range(200)) for _ in range(3)]
-    assert [z.values for z in noise] == expected
+    for length in (1, 7, 8, 16, 17, 64, 200, 2048):
+        for count in (1, 2, 3):
+            for seed in (2024, 7, 13 * length + count):
+                batched, looped = random.Random(seed), random.Random(seed)
+                noise = sample_noise(f, count, length, batched)
+                assert [z.values for z in noise] == per_entry_noise(f, count, length, looped)
+                assert all(z.bound == p - 1 for z in noise)
+                assert batched.getstate() == looped.getstate()
+
+
+def test_sample_noise_packed_path_starts_at_its_length_gate(monkeypatch):
+    # Without this, the test above could pass with the packed path never taken.
+    spreads = []
+    spread = swiftagg.sharing._spread_words
+
+    def counted(words, length):
+        spreads.append(length)
+        return spread(words, length)
+
+    monkeypatch.setattr(swiftagg.sharing, "_spread_words", counted)
+    for p in ((1 << 31) - 1, 4294967291, 65521):
+        for length in (1, 7, 8, 2048):
+            sample_noise(FieldSpec(p), 2, length, random.Random(p))
+    # Primes whose draws are often rejected stay on the per-entry path.
+    for p in (101, 2147483659):
+        sample_noise(FieldSpec(p), 2, 2048, random.Random(p))
+    # 65521 takes it even at 2,048 entries: 0.47 rejected entries per vector
+    # are expected there.
+    assert spreads == [8, 8, 2048, 2048] * 3
+
+
+def test_sample_noise_refills_a_packed_draw_with_a_rejected_entry(monkeypatch):
+    # At p = 65521 one 16-bit draw in 4,369 is rejected, so about one
+    # 64-entry packed draw in 68 holds a rejected entry; the packed path
+    # unpacks only such a draw.
+    f = FieldSpec(65521)
+    unpacked = []
+    unpack = swiftagg.sharing._unpack
+
+    def counted(packed, length):
+        unpacked.append(length)
+        return unpack(packed, length)
+
+    monkeypatch.setattr(swiftagg.sharing, "_unpack", counted)
+    for seed in range(2000):
+        batched = random.Random(seed)
+        noise = sample_noise(f, 1, 64, batched)
+        if unpacked:
+            break
+    assert unpacked == [64], "no seed below 2000 gave a rejected entry"
+    words = random.Random(seed)
+    assert max(words.getrandbits(16) for _ in range(64)) >= f.p
+    looped = random.Random(seed)
+    assert noise[0].values == per_entry_noise(f, 1, 64, looped)[0]
     assert batched.getstate() == looped.getstate()
+
+
+def test_getrandbits_word_layout():
+    # The packed noise path relies on CPython's Mersenne Twister layout: a
+    # wide draw is the next 32-bit words, least significant first, and a
+    # narrow draw is the top bits of the next word.
+    for seed in (0, 1, 2024):
+        for words in (1, 2, 17, 2048):
+            wide, narrow = random.Random(seed), random.Random(seed)
+            drawn = wide.getrandbits(32 * words)
+            expected = sum(narrow.getrandbits(32) << 32 * k for k in range(words))
+            assert drawn == expected
+            assert wide.getstate() == narrow.getstate()
+        for k in (1, 7, 31, 32):
+            a, b = random.Random(seed), random.Random(seed)
+            assert [a.getrandbits(k) for _ in range(50)] == [
+                b.getrandbits(32) >> (32 - k) for _ in range(50)
+            ]
+            assert a.getstate() == b.getstate()
 
 
 def test_simulation_does_not_import_numpy():

@@ -29,9 +29,16 @@ from swiftagg.protocol import (
     ServerState,
     assign_groups,
     execute_protocol,
+    execute_seeded,
     run_protocol,
 )
-from swiftagg.sharing import build_polynomial, sample_noise, share_for, user_rng
+from swiftagg.sharing import (
+    build_polynomial,
+    sample_noise,
+    share_for,
+    uniform_element,
+    user_rng,
+)
 from swiftagg.simnet import count_loads
 
 F101 = FieldSpec(101)
@@ -213,6 +220,26 @@ def test_transcript_is_deterministic():
     assert log_a.serialize() == log_b.serialize()
     _, log_c = run_protocol(params, models, {2}, seed=100)
     assert log_a.serialize() != log_c.serialize()
+
+
+@pytest.mark.parametrize("p", [(1 << 31) - 1, 4294967291])
+def test_wide_seeded_run_matches_per_entry_noise(p):
+    # The golden transcript's vectors are too short for the packed noise
+    # path; at 2,048 entries every user's noise takes it.
+    params = make_params(12, 2, 1, length=2048, p=p)
+    models = random_models(params, 5)
+    timings = {9: MID_SEQUENCE}
+    run, _ = execute_seeded(params, models, timings, seed=21)
+    looped = {}
+    for uid in range(1, params.n + 1):
+        rng = user_rng(21, uid)
+        looped[uid] = tuple(
+            params.field.vector([uniform_element(params.field, rng) for _ in range(2048)])
+            for _ in range(params.t)
+        )
+    expected = execute_protocol(params, models, looped, timings)
+    assert run.log.serialize() == expected.log.serialize()
+    assert run.recovered == expected.recovered
 
 
 def test_group_shuffle_preserves_recovery():
