@@ -43,6 +43,8 @@ from .errors import IndivisibleNError, TooManyDropoutsError
 from .field import (
     FieldSpec,
     ModelVector,
+    _reduce,
+    _unpack,
     lagrange_interpolate_at_zero,
     vec_add,
     vec_sum,
@@ -69,9 +71,12 @@ class CollusionBoundWarning(UserWarning):
     """Raised once for t = 1 runs, which sit outside the stated range 2 <= t < n - d."""
 
 
-@dataclass(frozen=True, slots=True)
-class GroupPosition:
-    """Coordinates (gamma, t): group index and within-group sequence index."""
+class GroupPosition(NamedTuple):
+    """Coordinates (gamma, t): group index and within-group sequence index.
+
+    A plain tuple underneath, so hashing and equality (every transcript,
+    load and view lookup by position) run in C.
+    """
 
     gamma: int
     t: int
@@ -188,12 +193,44 @@ class Message(NamedTuple):
     payload: Optional[ModelVector]
 
 
-def payload_digest(payload: Optional[ModelVector]) -> str:
-    """Short stable digest for transcript lines; '-' for the null symbol."""
-    if payload is None:
-        return "-"
-    data = f"{payload.field.p}:{','.join(map(str, payload.values))}"
-    return hashlib.sha256(data.encode()).hexdigest()[:16]
+# Lanes per reduction step of ``payload_digests``.  One fixed width keeps one
+# ``_barrett``/``_codec`` entry per field however many payloads a log holds;
+# a longer payload is a step of its own, at the width its vectors already use.
+_DIGEST_STEP = 4096
+
+
+def payload_digests(payloads: Sequence[Optional[ModelVector]]) -> list[str]:
+    """Short stable digest per transcript payload; '-' for the null symbol.
+
+    A digest is the first 16 hex digits of the SHA-256 of ``"p:v0,v1,..."``
+    over the canonical entries.  Payloads of one field and length are
+    handled in bulk, one step of ``_DIGEST_STEP`` lanes at a time: their
+    lanes are joined, reduced and unpacked once.
+    """
+    digests = ["-"] * len(payloads)
+    groups: dict = {}
+    for i, payload in enumerate(payloads):
+        if payload is not None:
+            groups.setdefault((payload.field.p, payload.length), []).append(i)
+    sha256 = hashlib.sha256
+    for (p, length), indices in groups.items():
+        # ``%d`` of a nonnegative int is its ``str``, at about half the cost
+        # of joining ``map(str, ...)``.
+        fmt = f"{p}:" + ",".join(["%d"] * length)
+        width = max(_DIGEST_STEP, length)
+        per_step = width // length
+        nbytes = 8 * length
+        for start in range(0, len(indices), per_step):
+            chunk = indices[start : start + per_step]
+            step = [payloads[i] for i in chunk]
+            raw = b"".join([v.lanes.to_bytes(nbytes, "little") for v in step])
+            bound = max([v.bound for v in step])
+            # Lanes past the step's payloads are zero: the step is padded.
+            values = _unpack(_reduce(int.from_bytes(raw, "little"), width, p, bound), width)
+            for k, i in enumerate(chunk):
+                text = fmt % values[k * length : (k + 1) * length]
+                digests[i] = sha256(text.encode()).hexdigest()[:16]
+    return digests
 
 
 class MessageLog(list):
@@ -213,10 +250,11 @@ class MessageLog(list):
         names = {pos: f"u{uid}{pos}" for pos, uid in self.user_of.items()}
         names[None] = "server"
         name = names.__getitem__
+        digests = payload_digests([m.payload for m in self])
         return [
             f"{m.phase} from={name(m.sender)} to={name(m.recipient)} "
-            f"t={m.t} payload={payload_digest(m.payload)}"
-            for m in self
+            f"t={m.t} payload={digest}"
+            for m, digest in zip(self, digests)
         ]
 
     def serialize(self) -> str:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swiftagg import cli
 from swiftagg.cli import (
     CONFIG_KEYS,
     MAX_SHARE_ENTRIES,
@@ -50,6 +51,28 @@ def test_motivating_run_record(capsys):
     assert list(record) == [
         "recovered_ok", "r_user", "r_uplink_actual", "r_uplink_required", "elapsed",
     ]
+
+
+def test_wrong_recovered_entry_fails_its_record(capsys, monkeypatch):
+    real_simulate = cli.simulate
+    calls = []
+
+    def first_run_off_by_one(*args, **kwargs):
+        result = real_simulate(*args, **kwargs)
+        calls.append(1)
+        if len(calls) > 1:
+            return result
+        field = result.recovered.field
+        values = list(result.recovered.values)
+        values[-1] = (values[-1] + 1) % field.p
+        return result._replace(recovered=field.vector(values))
+
+    monkeypatch.setattr(cli, "simulate", first_run_off_by_one)
+    code, out, _ = run_cli(
+        capsys, "run", "--n", "12", "--t", "2", "--d", "1", "--drop", "7", "--reps", "2"
+    )
+    assert code == 1
+    assert [json.loads(line)["recovered_ok"] for line in out.splitlines()] == [False, True]
 
 
 def test_small_run_user_load(capsys):

@@ -4,6 +4,7 @@ The whole-protocol property test checks every drawn run against plain-int
 column sums, the exact set of null slots and the exact load counts.
 """
 
+import hashlib
 import itertools
 import random
 import warnings
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swiftagg.errors import IndivisibleNError, TooManyDropoutsError
-from swiftagg.field import FieldSpec, is_prime, vec_add
+from swiftagg.field import FieldSpec, ModelVector, _barrett, _codec, _pack, is_prime, vec_add
 from swiftagg.protocol import (
     AFTER_SHARING,
     BEFORE_SHARING,
@@ -22,6 +23,7 @@ from swiftagg.protocol import (
     CollusionBoundWarning,
     GroupPosition,
     Message,
+    MessageLog,
     PHASE_INTRA,
     PHASE_SEQUENCE,
     PHASE_UPLOAD,
@@ -103,6 +105,8 @@ def test_assign_groups_canonical_layout():
     assert positions[8] == GroupPosition(2, 4)
     assert positions[7] == GroupPosition(2, 3)
     assert positions[11] == GroupPosition(3, 3)
+    assert positions[11] == (3, 3)
+    assert (str(positions[11]), repr(positions[11])) == ("(3,3)", "GroupPosition(gamma=3, t=3)")
     assert len(set(positions.values())) == 12
 
 
@@ -257,6 +261,119 @@ def test_phase_major_transcript_order():
     phases = [m.phase for m in log]
     boundary = {"intra": 0, "sequence": 1, "upload": 2}
     assert phases == sorted(phases, key=boundary.__getitem__)
+
+
+# ---------------------------------------------------------------------------
+# Transcript serialization
+# ---------------------------------------------------------------------------
+
+
+def reference_digest(payload):
+    if payload is None:
+        return "-"
+    data = f"{payload.field.p}:{','.join(map(str, payload.values))}"
+    return hashlib.sha256(data.encode()).hexdigest()[:16]
+
+
+def assert_digests_match_reference(log):
+    # Serialize first: reading ``.values`` stores the reduced lanes in place.
+    lines = log.to_lines()
+    assert len(lines) == len(log)
+    assert [line.rsplit(" payload=", 1)[1] for line in lines] == [
+        reference_digest(m.payload) for m in log
+    ]
+
+
+def hand_built_log(payloads):
+    a, b = GroupPosition(1, 1), GroupPosition(1, 2)
+    log = MessageLog({a: 1, b: 2})
+    log.extend(Message(PHASE_INTRA, a, b, 2, payload) for payload in payloads)
+    return log
+
+
+@pytest.mark.parametrize(
+    "n, t, d, length, p, timings",
+    [
+        # More live payloads than one reduction step holds, plus null slots.
+        (60, 2, 2, 16, (1 << 31) - 1, {7: BEFORE_SHARING, 31: MID_SEQUENCE}),
+        # One payload is longer than a step.
+        (4, 2, 1, 4097, 65521, {2: BEFORE_SHARING}),
+    ],
+)
+def test_digests_match_reference_on_runs(n, t, d, length, p, timings):
+    params = make_params(n, t, d, length, p)
+    run, _ = execute_seeded(params, random_models(params, n), timings, seed=4, group_shuffle=True)
+    assert any(m.payload is None for m in run.log)
+    assert_digests_match_reference(run.log)
+
+
+@pytest.mark.parametrize("p", [65521, 2147483659, 4294967291])
+def test_digests_match_reference_on_wide_lanes(p):
+    field = FieldSpec(p)
+    rng = random.Random(p)
+    top = (1 << 64) - 1
+    payloads = []
+    for k in range(300):
+        bound = rng.choice([top, top - rng.randrange(p), p - 1, 2 * p])
+        lanes = [rng.randint(0, bound) for _ in range(16)]
+        if k % 3 == 0:
+            lanes[0] = bound
+        payloads.append(ModelVector._packed(field, _pack(lanes), 16, bound))
+    payloads[5] = None
+    assert_digests_match_reference(hand_built_log(payloads))
+
+
+def test_digests_match_reference_across_fields_and_lengths():
+    f101, f65521 = FieldSpec(101), FieldSpec(65521)
+    rng = random.Random(8)
+    payloads = []
+    for k in range(40):
+        field, length = [(f101, 3), (f65521, 3), (f101, 5), (f65521, 5)][k % 4]
+        payloads.append(field.vector([rng.randrange(field.p) for _ in range(length)]))
+        if k % 7 == 0:
+            payloads.append(None)
+    assert_digests_match_reference(hand_built_log(payloads))
+
+
+@pytest.mark.parametrize(
+    "p, digest",
+    [
+        ((1 << 31) - 1, "04d9c6ea4cb4d3b2348964fb147788f4bc83f4a67670941dd5ff61157f25e25f"),
+        (4294967291, "a4559825bdd5c47088b6ed51eb8d406313f9b80c7d1760cd3540bbf996aa9ade"),
+    ],
+)
+def test_golden_transcript_at_scale(p, digest):
+    # 60 users, 16 entries: more than one reduction step of live payloads.
+    params = ProtocolParams(60, 2, 2, 16, FieldSpec(p))
+    models = [params.field.vector([(u * 1000003 + k) % p for k in range(16)]) for u in range(1, 61)]
+    timings = {7: AFTER_SHARING, 31: MID_SEQUENCE}
+    run, _ = execute_seeded(params, models, timings, seed=5, group_shuffle=True)
+    text = run.log.serialize()
+    assert text.count("\n") == 300
+    assert text.count("payload=-") == 5
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_serializing_keeps_lane_caches_flat():
+    # A step reduced at its own length would add a cache entry for every
+    # distinct count of live payloads.
+    params = make_params(60, 2, 2, 16, (1 << 31) - 1)
+    models = random_models(params, 6)
+    _barrett.cache_clear()
+    _codec.cache_clear()
+    logs = [
+        execute_seeded(params, models, timings, seed=6)[0].log
+        for timings in ({}, {7: BEFORE_SHARING}, {7: BEFORE_SHARING, 31: MID_SEQUENCE})
+    ]
+    assert len({sum(m.payload is not None for m in log) for log in logs}) == 3
+    logs[0].to_lines()
+    infos = (_barrett.cache_info(), _codec.cache_info())
+    assert all(info.currsize < info.maxsize for info in infos)
+    for log in logs[1:]:
+        log.to_lines()
+        assert (_barrett.cache_info().currsize, _codec.cache_info().currsize) == tuple(
+            info.currsize for info in infos
+        )
 
 
 @pytest.mark.parametrize("timing", [BEFORE_SHARING, AFTER_SHARING, MID_SEQUENCE])
