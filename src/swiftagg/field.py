@@ -97,11 +97,6 @@ class FieldSpec:
         return f"FieldSpec({self.p})"
 
 
-def _require_same_field(a: FieldSpec, b: FieldSpec) -> None:
-    if a.p != b.p:
-        raise MixedFieldError(f"operands live in F_{a.p} and F_{b.p}")
-
-
 class ModelVector:
     """A fixed-length vector over one prime field, kept in packed lanes.
 
@@ -259,6 +254,17 @@ def _reduce(packed: int, length: int, p: int, bound: int) -> int:
     return packed - ((packed + offset) >> 63 & ones) * p
 
 
+def _coherent(vectors: Sequence[ModelVector]) -> None:
+    """Raise unless every vector has the first one's field and length."""
+    p = vectors[0].field.p
+    length = vectors[0].length
+    for v in vectors[1:]:
+        if v.field.p != p:
+            raise MixedFieldError(f"operands live in F_{p} and F_{v.field.p}")
+        if v.length != length:
+            raise LengthMismatchError(f"lengths {length} and {v.length}")
+
+
 def vec_sum(vectors: Sequence[ModelVector]) -> ModelVector:
     """Field sum of one or more vectors of one field and length.
 
@@ -267,12 +273,8 @@ def vec_sum(vectors: Sequence[ModelVector]) -> ModelVector:
     """
     if not vectors:
         raise ValueError("need at least one vector to sum")
+    _coherent(vectors)
     field = vectors[0].field
-    length = vectors[0].length
-    for v in vectors[1:]:
-        _require_same_field(v.field, field)
-        if v.length != length:
-            raise LengthMismatchError(f"lengths {length} and {v.length}")
     bound = sum([v.bound for v in vectors])
     if bound < _LANE:
         packed = sum([v.lanes for v in vectors])
@@ -280,19 +282,11 @@ def vec_sum(vectors: Sequence[ModelVector]) -> ModelVector:
         # Fewer than 2**32 operands (all that memory can hold) fit once reduced.
         packed = sum([v._canonical() for v in vectors])
         bound = len(vectors) * (field.p - 1)
-    return ModelVector._packed(field, packed, length, bound)
+    return ModelVector._packed(field, packed, vectors[0].length, bound)
 
 
 def vec_add(a: ModelVector, b: ModelVector) -> ModelVector:
-    _require_same_field(a.field, b.field)
-    length = a.length
-    if b.length != length:
-        raise LengthMismatchError(f"lengths {length} and {b.length}")
-    bound = a.bound + b.bound
-    if bound < _LANE:
-        return ModelVector._packed(a.field, a.lanes + b.lanes, length, bound)
-    packed = a._canonical() + b._canonical()
-    return ModelVector._packed(a.field, packed, length, 2 * (a.field.p - 1))
+    return vec_sum((a, b))
 
 
 def _horner(coeffs: Sequence[ModelVector], x) -> ModelVector:
@@ -357,15 +351,13 @@ def lagrange_interpolate_at_zero(points, degree_bound: int) -> ModelVector:
     pts = list(points)
     if not pts:
         raise InsufficientPointsError("no points supplied")
+    _coherent([y for _, y in pts])
     field = pts[0][1].field
     p = field.p
     length = pts[0][1].length
     norm = []
     seen = set()
     for x, y in pts:
-        _require_same_field(y.field, field)
-        if y.length != length:
-            raise LengthMismatchError("point values differ in length")
         alpha = x % p
         if alpha == 0:
             raise ZeroEvaluationPointError("interpolation abscissa must be nonzero")

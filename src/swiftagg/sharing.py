@@ -11,16 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import random
-from itertools import repeat
 from typing import Sequence
 
-from .errors import (
-    ArityMismatchError,
-    LengthMismatchError,
-    MixedFieldError,
-    ZeroEvaluationPointError,
-)
-from .field import FieldSpec, ModelVector, _barrett, _horner, _spread_words, _unpack
+from .errors import ArityMismatchError, ZeroEvaluationPointError
+from .field import FieldSpec, ModelVector, _barrett, _coherent, _horner, _spread_words, _unpack
 
 
 def derive_subseed(seed: int, label) -> int:
@@ -44,12 +38,6 @@ def uniform_element(field: FieldSpec, rng: random.Random) -> int:
             return v
 
 
-# Vectors shorter than this keep the per-entry draws: below it one bulk draw
-# and the lane spread cost as much as they save (measured break-even near 6
-# entries at p = 2**31 - 1; 8 entries save about 6%, 16 about 22%).
-_PACKED_MIN_LENGTH = 8
-
-
 def sample_noise(field: FieldSpec, count: int, length: int, rng: random.Random):
     """Draw ``count`` uniform masking vectors of ``length`` entries.
 
@@ -58,45 +46,29 @@ def sample_noise(field: FieldSpec, count: int, length: int, rng: random.Random):
     rejected, the accepted ones keep their stream order and the vector is
     topped up from the stream.
 
-    There are two ways to take a vector's ``length`` draws, with the same
-    values and the same generator state after them.  CPython's
-    ``getrandbits(k)`` for ``k <= 32`` is the next 32-bit Mersenne Twister
-    word shifted right by ``32 - k``, and ``getrandbits(32 * length)`` is
-    the next ``length`` words, least significant first.  So when a vector
-    has at least ``_PACKED_MIN_LENGTH`` entries and fewer than one of them
-    is expected to be rejected, one call draws its words, which are spread
-    into 64-bit lanes, shifted and masked there, and tested for rejection
-    lane-wise; only a vector with a rejected entry is unpacked.  Short
-    vectors, and primes whose draws are often rejected, draw entry by
-    entry.
+    CPython's ``getrandbits(k)`` for ``k <= 32`` is the next 32-bit
+    Mersenne Twister word shifted right by ``32 - k``, and
+    ``getrandbits(32 * length)`` is the next ``length`` words, least
+    significant first.  So one call draws a vector's words, which are
+    spread into 64-bit lanes, shifted and masked there, and tested for
+    rejection lane-wise; only a vector with a rejected entry is unpacked.
     """
+    if length < 1:
+        raise ValueError("vector must have length >= 1")
     p = field.p
     bits = p.bit_length()
-    draw = rng.getrandbits
-    packed = length >= _PACKED_MIN_LENGTH and length * ((1 << bits) - p) < 1 << bits
-    if packed:
-        offset, ones = _barrett(length, p)[3:5]
-        shift = 32 - bits
-        mask = ones * ((1 << bits) - 1)
+    offset, ones = _barrett(length, p)[3:5]
+    shift = 32 - bits
+    mask = ones * ((1 << bits) - 1)
     out = []
     for _ in range(count):
-        if packed:
-            lanes = _spread_words(draw(32 * length), length) >> shift & mask
-            # A lane >= p sets bit 63 once 2**63 - p is added.
-            if not (lanes + offset) >> 63 & ones:
-                out.append(ModelVector._packed(field, lanes, length, p - 1))
-                continue
-            values = _unpack(lanes, length)
-        else:
-            values = tuple(map(draw, repeat(bits, length)))
-            if max(values) < p:
-                out.append(ModelVector._raw(field, values))
-                continue
-        kept = [v for v in values if v < p]
-        while len(kept) < length:
-            v = draw(bits)
-            if v < p:
-                kept.append(v)
+        lanes = _spread_words(rng.getrandbits(32 * length), length) >> shift & mask
+        # A lane >= p sets bit 63 once 2**63 - p is added.
+        if not (lanes + offset) >> 63 & ones:
+            out.append(ModelVector._packed(field, lanes, length, p - 1))
+            continue
+        kept = [v for v in _unpack(lanes, length) if v < p]
+        kept += [uniform_element(field, rng) for _ in range(length - len(kept))]
         out.append(ModelVector._raw(field, kept))
     return tuple(out)
 
@@ -116,13 +88,7 @@ class SharePolynomial:
         coeffs = tuple(coeffs)
         if len(coeffs) < 1:
             raise ValueError("polynomial needs at least the constant term")
-        field = coeffs[0].field
-        length = len(coeffs[0])
-        for c in coeffs[1:]:
-            if c.field.p != field.p:
-                raise MixedFieldError("coefficient vectors lie in different fields")
-            if len(c) != length:
-                raise LengthMismatchError("coefficient vectors differ in length")
+        _coherent(coeffs)
         self.coeffs = coeffs
 
     def eval(self, x) -> ModelVector:

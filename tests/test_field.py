@@ -18,8 +18,9 @@ from swiftagg.field import (
     is_prime,
     lagrange_interpolate_at_zero,
     vec_add,
+    vec_sum,
 )
-from swiftagg.sharing import SharePolynomial
+from swiftagg.sharing import SharePolynomial, sample_noise
 
 PRIMES = [5, 7, 11, 101, (1 << 31) - 1]
 
@@ -76,6 +77,33 @@ def test_vec_add_length_mismatch():
 def test_vec_add_mixed_field():
     with pytest.raises(MixedFieldError):
         vec_add(FieldSpec(7).vector([1]), FieldSpec(11).vector([1]))
+
+
+# Each op that combines vectors, called on three operands.
+COMBINING_OPS = {
+    "vec_sum": vec_sum,
+    "vec_add": lambda vs: vec_add(vec_add(vs[0], vs[1]), vs[2]),
+    "SharePolynomial": SharePolynomial,
+    "lagrange_interpolate_at_zero": lambda vs: lagrange_interpolate_at_zero(
+        list(zip((1, 2, 3), vs)), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("op", COMBINING_OPS.values(), ids=list(COMBINING_OPS))
+def test_combining_ops_check_every_operand_against_the_first(op):
+    f = FieldSpec(7)
+    a, b = f.vector([1, 2]), f.vector([3, 4])
+    op([a, b, f.vector([5, 6])])
+    with pytest.raises(MixedFieldError):
+        op([a, b, FieldSpec(11).vector([5, 6])])
+    with pytest.raises(LengthMismatchError):
+        op([a, b, f.vector([5, 6, 0])])
+
+
+def test_vec_sum_needs_a_vector():
+    with pytest.raises(ValueError, match="need at least one vector"):
+        vec_sum([])
 
 
 def test_poly_eval_examples():
@@ -152,9 +180,14 @@ def test_interpolate_checks_surplus_consistency():
 def test_zeros_rejects_the_lengths_the_constructor_rejects():
     f = FieldSpec(7)
     assert f.zeros(3).values == (0, 0, 0)
+    rng = random.Random(3)
+    state = rng.getstate()
     for length in (0, -1):
         with pytest.raises(ValueError, match="vector must have length >= 1"):
             f.zeros(length)
+        with pytest.raises(ValueError, match="vector must have length >= 1"):
+            sample_noise(f, 2, length, rng)
+        assert rng.getstate() == state
 
 
 def test_vector_entries_reduced_and_immutable():

@@ -139,9 +139,10 @@ def per_entry_noise(f, count, length, rng):
 @pytest.mark.parametrize("p", PRIMES + [5, 7, 65521])
 def test_sample_noise_matches_per_entry_draws(p):
     # At p = 101, 7-bit draws are rejected about 21% of the time, and at
-    # 2147483659 about half.  Lengths 7 and 8 sit on either side of the
-    # packed path's length gate; 65521 at 2,048 entries rejects about one
-    # vector in three on that path.
+    # 2147483659 about half, so most packed draws there are topped up from
+    # the stream; 65521 at 2,048 entries tops up about one vector in
+    # three.  The test below checks that every length and prime here takes
+    # the packed draw.
     f = FieldSpec(p)
     for length in (1, 7, 8, 16, 17, 64, 200, 2048):
         for count in (1, 2, 3):
@@ -153,7 +154,8 @@ def test_sample_noise_matches_per_entry_draws(p):
                 assert batched.getstate() == looped.getstate()
 
 
-def test_sample_noise_packed_path_starts_at_its_length_gate(monkeypatch):
+@pytest.mark.parametrize("p", PRIMES + [5, 7, 65521])
+def test_sample_noise_takes_one_packed_draw_per_vector(p, monkeypatch):
     # Without this, the test above could pass with the packed path never taken.
     spreads = []
     spread = swiftagg.sharing._spread_words
@@ -163,15 +165,9 @@ def test_sample_noise_packed_path_starts_at_its_length_gate(monkeypatch):
         return spread(words, length)
 
     monkeypatch.setattr(swiftagg.sharing, "_spread_words", counted)
-    for p in ((1 << 31) - 1, 4294967291, 65521):
-        for length in (1, 7, 8, 2048):
-            sample_noise(FieldSpec(p), 2, length, random.Random(p))
-    # Primes whose draws are often rejected stay on the per-entry path.
-    for p in (101, 2147483659):
-        sample_noise(FieldSpec(p), 2, 2048, random.Random(p))
-    # 65521 takes it even at 2,048 entries: 0.47 rejected entries per vector
-    # are expected there.
-    assert spreads == [8, 8, 2048, 2048] * 3
+    for length in (1, 7, 8, 2048):
+        sample_noise(FieldSpec(p), 2, length, random.Random(p))
+    assert spreads == [1, 1, 7, 7, 8, 8, 2048, 2048]
 
 
 def test_sample_noise_refills_a_packed_draw_with_a_rejected_entry(monkeypatch):
