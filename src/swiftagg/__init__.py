@@ -25,6 +25,7 @@ from .field import (
     FieldSpec,
     ModelVector,
     lagrange_interpolate_at_zero,
+    sample_noise,
     vec_add,
     vec_sum,
 )
@@ -49,13 +50,7 @@ from .protocol import (
     execute_protocol,
     run_protocol,
 )
-from .sharing import (
-    SharePolynomial,
-    build_polynomial,
-    sample_noise,
-    share_for,
-    user_rng,
-)
+from .sharing import SharePolynomial, build_polynomial, share_for, user_rng
 from .simnet import (
     AdversaryConfig,
     AdversaryView,

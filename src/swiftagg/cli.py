@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, IndivisibleNError, SwiftAggError, TooLargeError
-from .field import MAX_MODULUS, FieldSpec, is_prime
+from .field import MAX_MODULUS, FieldSpec, is_prime, sample_noise
 from .protocol import DropoutPlan, ProtocolParams
 from .privacy_oracle import run_privacy_suite
-from .sharing import derive_subseed, sample_noise
+from .sharing import derive_subseed
 from .simnet import AdversaryConfig, simulate, table1_analytic
 
 RESULT_FIELDS = ("recovered_ok", "r_user", "r_uplink_actual", "r_uplink_required", "elapsed")
@@ -189,11 +189,6 @@ def build_run_config(args) -> RunConfig:
         raise ConfigError("drop_rate: give either an explicit drop list or a rate, not both")
     if drop_rate is not None and not 0.0 <= drop_rate <= 1.0:
         raise ConfigError(f"drop_rate: must be in [0, 1], got {drop_rate}")
-    # The library holds ids in a dict and a frozenset, where repeats vanish.
-    if len(set(drop)) != len(drop):
-        raise ConfigError("drop: duplicate user ids")
-    if len(set(colluders)) != len(colluders):
-        raise ConfigError("adversary: duplicate user ids")
 
     spec = _checked("field: ", FieldSpec, values["field"])
     params = _checked("", ProtocolParams, n, t, d, model_len, spec)
@@ -205,8 +200,9 @@ def build_run_config(args) -> RunConfig:
             f"{culprit}: n*(t+d+1)*model_len = {entries} share entries exceed "
             f"the limit {MAX_SHARE_ENTRIES}"
         )
-    _checked("drop: ", DropoutPlan.uniform(drop).validate_for, params)
-    adversary = AdversaryConfig.of(colluders, values["server_curious"])
+    plan = _checked("drop: ", DropoutPlan.uniform, drop)
+    _checked("drop: ", plan.validate_for, params)
+    adversary = _checked("adversary: ", AdversaryConfig.of, colluders, values["server_curious"])
     _checked("adversary: ", adversary.validate_for, params)
 
     return RunConfig(

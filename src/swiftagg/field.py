@@ -11,10 +11,13 @@ and every lane is at most ``bound``, which is below 2**64.  Lanes need not be
 reduced; kernels add and scale them as they are and reduce only when a lane
 could reach 2**64 or when a caller reads the canonical form.  A reduction is
 lane-wise for every prime and every bound: it never unpacks the vector.
+This module is the only one that reads or writes that format; uniform
+masking noise is drawn straight into it here too.
 """
 
 from __future__ import annotations
 
+import random
 import struct
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -148,9 +151,6 @@ class ModelVector:
     def __len__(self):
         return self.length
 
-    def __add__(self, other: "ModelVector") -> "ModelVector":
-        return vec_add(self, other)
-
     def __eq__(self, other):
         return (
             isinstance(other, ModelVector)
@@ -252,6 +252,68 @@ def _reduce(packed: int, length: int, p: int, bound: int) -> int:
         packed -= ((packed * m >> b) & low_mask) * p
     # Lanes >= p (bit 63 set after adding 2**63 - p) lose p.
     return packed - ((packed + offset) >> 63 & ones) * p
+
+
+def uniform_element(field: FieldSpec, rng: random.Random) -> int:
+    """Uniform draw from [0, p) by rejection; exact, not modulo-biased."""
+    p = field.p
+    bits = p.bit_length()
+    while True:
+        v = rng.getrandbits(bits)
+        if v < p:
+            return v
+
+
+def sample_noise(field: FieldSpec, count: int, length: int, rng: random.Random):
+    """Draw ``count`` uniform masking vectors of ``length`` entries.
+
+    The draws are exactly those of calling ``uniform_element`` once per
+    entry: each vector takes ``length`` draws at once, and if any is
+    rejected, the accepted ones keep their stream order and the vector is
+    topped up from the stream.
+
+    CPython's ``getrandbits(k)`` for ``k <= 32`` is the next 32-bit
+    Mersenne Twister word shifted right by ``32 - k``, and
+    ``getrandbits(32 * length)`` is the next ``length`` words, least
+    significant first.  So one call draws a vector's words, which are
+    spread into 64-bit lanes, shifted and masked there, and tested for
+    rejection lane-wise; only a vector with a rejected entry is unpacked.
+    """
+    if length < 1:
+        raise ValueError("vector must have length >= 1")
+    p = field.p
+    bits = p.bit_length()
+    offset, ones = _barrett(length, p)[3:5]
+    shift = 32 - bits
+    mask = ones * ((1 << bits) - 1)
+    out = []
+    for _ in range(count):
+        lanes = _spread_words(rng.getrandbits(32 * length), length) >> shift & mask
+        # A lane >= p sets bit 63 once 2**63 - p is added.
+        if not (lanes + offset) >> 63 & ones:
+            out.append(ModelVector._packed(field, lanes, length, p - 1))
+            continue
+        kept = [v for v in _unpack(lanes, length) if v < p]
+        kept += [uniform_element(field, rng) for _ in range(length - len(kept))]
+        out.append(ModelVector._raw(field, kept))
+    return tuple(out)
+
+
+def _join(vectors: Sequence[ModelVector], copies: int = 1) -> ModelVector:
+    """The vectors' entries end to end, the whole run repeated ``copies`` times.
+
+    All vectors share one field; the result carries their largest lane bound.
+    """
+    raw = b"".join([v.lanes.to_bytes(8 * v.length, "little") for v in vectors]) * copies
+    field, bound = vectors[0].field, max([v.bound for v in vectors])
+    return ModelVector._packed(field, int.from_bytes(raw, "little"), len(raw) // 8, bound)
+
+
+def _stretch(field: FieldSpec, values: Sequence[int], copies: int) -> ModelVector:
+    """Each of ``values``, all in [0, p), repeated ``copies`` times in a row."""
+    runs = {v: v.to_bytes(8, "little") * copies for v in set(values)}
+    raw = b"".join([runs[v] for v in values])
+    return ModelVector._packed(field, int.from_bytes(raw, "little"), len(raw) // 8, field.p - 1)
 
 
 def _coherent(vectors: Sequence[ModelVector]) -> None:

@@ -17,9 +17,10 @@ chain check, and the hiding check evaluates real masking polynomials with
 ``share_for``.  Each result is then counted column by column.
 
 Sizes are guarded where the work is done: ``enumerate_views`` covers
-p**(#honest models + N*T) assignments, the chain check p**(N*T) and the
-hiding check p**degree; each raises ``TooLargeError`` above
-``ENUMERATION_GUARD`` before it allocates.
+p**(#honest models + N*T) assignments, the chain check p**(N*T), and the
+hiding check counts p * p**degree * sum(C(p-1, s) for s = 1..degree), one per
+secret, noise assignment and set of at most ``degree`` points; each raises
+``TooLargeError`` above ``ENUMERATION_GUARD`` before it allocates.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ import itertools
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from math import comb
 from typing import Mapping, Optional
 
 from .errors import TooLargeError
-from .field import FieldSpec, ModelVector
+from .field import FieldSpec, _join, _stretch
 from .protocol import (
     BEFORE_SHARING,
     PHASE_INTRA,
@@ -151,13 +153,16 @@ def _enumerated(spec: FieldSpec, slots: int, zero_noise: bool = False) -> tuple:
     """``slots`` noise vectors that carry every noise assignment at once.
 
     Coordinate ``k`` of the vectors holds the ``k``-th tuple of
-    ``itertools.product(range(p), repeat=slots)``; ``zero_noise`` holds only
-    the all-zero tuple.
+    ``itertools.product(range(p), repeat=slots)``: slot ``i`` steps through
+    ``range(p)`` every ``p**(slots - 1 - i)`` coordinates.  ``zero_noise``
+    holds only the all-zero tuple.
     """
     if zero_noise:
         return (spec.zeros(1),) * slots
-    columns = zip(*itertools.product(range(spec.p), repeat=slots))
-    return tuple(ModelVector._raw(spec, column) for column in columns)
+    p = spec.p
+    return tuple(
+        _join([_stretch(spec, range(p), p ** (slots - 1 - i))], p**i) for i in range(slots)
+    )
 
 
 def _widened(params: ProtocolParams, width: int) -> ProtocolParams:
@@ -192,11 +197,6 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     # Slot (uid, j) is entry (uid - 1) * T + j of every noise assignment.
     noise = {uid: columns[(uid - 1) * params.t : uid * params.t] for uid in range(1, params.n + 1)}
     singles = [(v,) for v in range(p)]
-    # One block's lanes as bytes: each noise vector, and a constant model per value.
-    noise_bytes = {
-        uid: [z.lanes.to_bytes(8 * width, "little") for z in zs] for uid, zs in noise.items()
-    }
-    blocks = [v.to_bytes(8, "little") * width for v in range(p)]
 
     # Contributing honest users: everyone whose shares entered the run.
     contributing = [uid for uid in honest if timings.get(uid) != BEFORE_SHARING]
@@ -218,15 +218,12 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     while chunk := list(itertools.islice(assignments, max(1, RUN_COLUMNS // width))):
         total = len(chunk) * width
         # Block j of the columns is chunk[j]'s run: noise repeats, models are constant.
-        wide_noise = {
-            uid: tuple(_from_lanes(spec, b * len(chunk)) for b in bs)
-            for uid, bs in noise_bytes.items()
-        }
+        wide_noise = {uid: tuple(_join([z], len(chunk)) for z in zs) for uid, zs in noise.items()}
         held = {
             u: (instance.fixed_model_of(u),) * len(chunk) for u in instance.adversary.colluders
         }
         held.update(zip(honest, zip(*chunk)))
-        models = [_from_lanes(spec, b"".join([blocks[v] for v in held[u]])) for u in sorted(held)]
+        models = [_stretch(spec, held[u], width) for u in sorted(held)]
         run = execute_protocol(_widened(params, total), models, wide_noise, timings, positions)
         view = collect_adversary_view(run.log, instance.adversary, models, wide_noise)
         received = _payload_columns(view.received, total, singles)
@@ -236,11 +233,6 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
             dist.views[w] = Counter(zip(own, received, uploads))
             dist.aggregate_of[w] = sum(w[honest_index[uid]] for uid in contributing) % p
     return dist
-
-
-def _from_lanes(spec: FieldSpec, lanes: bytes) -> ModelVector:
-    """The vector whose entries, all in [0, p), are ``lanes``, 8 little-endian bytes each."""
-    return ModelVector._packed(spec, int.from_bytes(lanes, "little"), len(lanes) // 8, spec.p - 1)
 
 
 def _payload_columns(messages, width: int, singles: list):
@@ -406,12 +398,12 @@ def check_share_hiding(spec: FieldSpec, degree: int) -> CheckResult:
     p = spec.p
     label = f"p{p}_degree{degree}"
     width = p**degree
-    _check_size(width)
+    _check_size(p * width * sum(comb(p - 1, s) for s in range(1, degree + 1)))
     noise = _enumerated(spec, degree)
     shares = [
         {beta: share_for(poly, beta).values for beta in range(1, p)}
         for poly in (
-            build_polynomial(ModelVector._raw(spec, (secret,) * width), noise, degree)
+            build_polynomial(_stretch(spec, [secret], width), noise, degree)
             for secret in range(p)
         )
     ]

@@ -43,19 +43,13 @@ from .errors import IndivisibleNError, TooManyDropoutsError
 from .field import (
     FieldSpec,
     ModelVector,
-    _reduce,
-    _unpack,
+    _join,
     lagrange_interpolate_at_zero,
+    sample_noise,
     vec_add,
     vec_sum,
 )
-from .sharing import (
-    build_polynomial,
-    derive_subseed,
-    sample_noise,
-    share_for,
-    user_rng,
-)
+from .sharing import build_polynomial, derive_subseed, share_for, user_rng
 
 PHASE_INTRA = "intra"
 PHASE_SEQUENCE = "sequence"
@@ -156,7 +150,10 @@ class DropoutPlan:
 
     @classmethod
     def uniform(cls, victims, timing: str = BEFORE_SHARING) -> "DropoutPlan":
-        return cls({int(v): timing for v in victims})
+        ids = [int(v) for v in victims]
+        if len(set(ids)) != len(ids):  # the dict would keep one copy silently
+            raise ValueError("duplicate user ids")
+        return cls(dict.fromkeys(ids, timing))
 
     @property
     def victims(self) -> frozenset:
@@ -193,9 +190,9 @@ class Message(NamedTuple):
     payload: Optional[ModelVector]
 
 
-# Lanes per reduction step of ``payload_digests``.  One fixed width keeps one
-# ``_barrett``/``_codec`` entry per field however many payloads a log holds;
-# a longer payload is a step of its own, at the width its vectors already use.
+# Entries per step of ``payload_digests``.  One fixed width keeps the field
+# engine's per-length caches at one entry per field however many payloads a
+# log holds; a longer payload is a step of its own, at its own length.
 _DIGEST_STEP = 4096
 
 
@@ -204,8 +201,8 @@ def payload_digests(payloads: Sequence[Optional[ModelVector]]) -> list[str]:
 
     A digest is the first 16 hex digits of the SHA-256 of ``"p:v0,v1,..."``
     over the canonical entries.  Payloads of one field and length are
-    handled in bulk, one step of ``_DIGEST_STEP`` lanes at a time: their
-    lanes are joined, reduced and unpacked once.
+    handled in bulk, one step of ``_DIGEST_STEP`` entries at a time: they
+    are joined into one vector whose canonical entries are read once.
     """
     digests = ["-"] * len(payloads)
     groups: dict = {}
@@ -219,14 +216,12 @@ def payload_digests(payloads: Sequence[Optional[ModelVector]]) -> list[str]:
         fmt = f"{p}:" + ",".join(["%d"] * length)
         width = max(_DIGEST_STEP, length)
         per_step = width // length
-        nbytes = 8 * length
         for start in range(0, len(indices), per_step):
             chunk = indices[start : start + per_step]
             step = [payloads[i] for i in chunk]
-            raw = b"".join([v.lanes.to_bytes(nbytes, "little") for v in step])
-            bound = max([v.bound for v in step])
-            # Lanes past the step's payloads are zero: the step is padded.
-            values = _unpack(_reduce(int.from_bytes(raw, "little"), width, p, bound), width)
+            # Zeros pad the step to its full width.
+            pad = width - len(chunk) * length
+            values = _join(step + [step[0].field.zeros(pad)] if pad else step).values
             for k, i in enumerate(chunk):
                 text = fmt % values[k * length : (k + 1) * length]
                 digests[i] = sha256(text.encode()).hexdigest()[:16]
@@ -328,7 +323,8 @@ def execute_protocol(
     log = MessageLog({pos: uid for uid, pos in positions.items()})
 
     # Group membership, ordered by sequence index, precomputed once: the
-    # phase loops below are the hot path of the exhaustive privacy oracle.
+    # phase loops below visit every transcript slot, which dominates runs
+    # with many users and short models.
     members: dict[int, list] = {g: [] for g in range(1, num_groups + 1)}
     for uid in range(1, params.n + 1):
         pos = positions[uid]

@@ -38,7 +38,10 @@ class AdversaryConfig:
 
     @classmethod
     def of(cls, colluders, server_curious: bool = True) -> "AdversaryConfig":
-        return cls(frozenset(int(c) for c in colluders), server_curious)
+        ids = [int(c) for c in colluders]
+        if len(set(ids)) != len(ids):  # the set would keep one copy silently
+            raise ValueError("duplicate user ids")
+        return cls(frozenset(ids), server_curious)
 
     def validate_for(self, params: ProtocolParams) -> None:
         for uid in self.colluders:

@@ -29,6 +29,20 @@ from swiftagg.cli import (
 from swiftagg.errors import ConfigError
 
 
+DATA = Path(__file__).resolve().parent / "data"
+# A record's wall-clock ``elapsed``: a JSON value, or the last CSV column.
+ELAPSED = re.compile(r'("elapsed": |^(?:true|false),.*,)[0-9.e-]+', re.M)
+
+
+def golden(name):
+    """Standard output pinned in ``tests/data``, ``elapsed`` values written as ``*``."""
+    return (DATA / name).read_text(encoding="utf-8")
+
+
+def masked(out):
+    return ELAPSED.sub(r"\1*", out)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -51,6 +65,13 @@ def test_motivating_run_record(capsys):
     assert list(record) == [
         "recovered_ok", "r_user", "r_uplink_actual", "r_uplink_required", "elapsed",
     ]
+    assert masked(out) == golden("cli_run_n12.out")
+    code, out, _ = run_cli(
+        capsys, "run", "--n", "60", "--t", "2", "--d", "2", "--model-len", "16",
+        "--shuffle-groups", "--drop-rate", "0.05", "--reps", "3", "--format", "csv",
+    )
+    assert code == 0
+    assert masked(out) == golden("cli_run_n60.csv")
 
 
 def test_wrong_recovered_entry_fails_its_record(capsys, monkeypatch):
@@ -108,6 +129,7 @@ def test_validation_paths(capsys):
         (["--n", "4", "--t", "1", "--d", "0", "--model-len", "0"], "model_len:"),
         (["--n", "4", "--t", "1", "--d", "0", "--field", "2"], "field:"),
         (["--n", "6", "--t", "1", "--d", "1", "--drop", "9"], "drop:"),
+        (["--n", "6", "--t", "1", "--d", "1", "--drop", "1", "1"], "drop:"),
         (["--n", "4", "--t", "1", "--d", "0", "--adversary", "0"], "adversary:"),
         (["--n", "4", "--t", "1", "--d", "0", "--adversary", "0", "-1,0"], "adversary:"),
         (["--n", "4", "--t", "1", "--d", "0", "--drop", "-2,3"], "drop:"),
@@ -296,6 +318,7 @@ def test_privacy_suite_passes(capsys):
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert len(records) == 5
     assert all(r["verdict"] == "independent" for r in records)
+    assert out == golden("cli_privacy.out")
 
 
 def test_privacy_does_not_warn_about_its_own_instances():
@@ -338,6 +361,7 @@ def test_privacy_no_noise_reports_witness(capsys):
         "count_a": 1,
         "count_b": 0,
     }
+    assert out == golden("cli_privacy_no_noise.out")
 
 
 def test_table_subcommand(capsys):

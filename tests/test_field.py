@@ -17,10 +17,11 @@ from swiftagg.field import (
     ModelVector,
     is_prime,
     lagrange_interpolate_at_zero,
+    sample_noise,
     vec_add,
     vec_sum,
 )
-from swiftagg.sharing import SharePolynomial, sample_noise
+from swiftagg.sharing import SharePolynomial
 
 PRIMES = [5, 7, 11, 101, (1 << 31) - 1]
 

@@ -9,6 +9,7 @@ their lanes are congruent to the entries mod p and at most the vector's
 as they are.
 """
 
+import ast
 import os
 import random
 import subprocess
@@ -20,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import swiftagg.field
-import swiftagg.sharing
 from swiftagg.field import (
     FieldSpec,
     ModelVector,
@@ -29,11 +29,13 @@ from swiftagg.field import (
     _reduce,
     _unpack,
     lagrange_interpolate_at_zero,
+    sample_noise,
+    uniform_element,
     vec_add,
     vec_sum,
 )
 from swiftagg.protocol import AFTER_SHARING, ProtocolParams, execute_protocol
-from swiftagg.sharing import SharePolynomial, sample_noise, share_for, uniform_element
+from swiftagg.sharing import SharePolynomial, share_for
 
 # 2147483659 has a large 2**32 mod p (2147483637).
 PRIMES = [2, 3, 101, (1 << 31) - 1, 2147483659, 4294967291]
@@ -158,13 +160,13 @@ def test_sample_noise_matches_per_entry_draws(p):
 def test_sample_noise_takes_one_packed_draw_per_vector(p, monkeypatch):
     # Without this, the test above could pass with the packed path never taken.
     spreads = []
-    spread = swiftagg.sharing._spread_words
+    spread = swiftagg.field._spread_words
 
     def counted(words, length):
         spreads.append(length)
         return spread(words, length)
 
-    monkeypatch.setattr(swiftagg.sharing, "_spread_words", counted)
+    monkeypatch.setattr(swiftagg.field, "_spread_words", counted)
     for length in (1, 7, 8, 2048):
         sample_noise(FieldSpec(p), 2, length, random.Random(p))
     assert spreads == [1, 1, 7, 7, 8, 8, 2048, 2048]
@@ -176,13 +178,13 @@ def test_sample_noise_refills_a_packed_draw_with_a_rejected_entry(monkeypatch):
     # unpacks only such a draw.
     f = FieldSpec(65521)
     unpacked = []
-    unpack = swiftagg.sharing._unpack
+    unpack = swiftagg.field._unpack
 
     def counted(packed, length):
         unpacked.append(length)
         return unpack(packed, length)
 
-    monkeypatch.setattr(swiftagg.sharing, "_unpack", counted)
+    monkeypatch.setattr(swiftagg.field, "_unpack", counted)
     for seed in range(2000):
         batched = random.Random(seed)
         noise = sample_noise(f, 1, 64, batched)
@@ -213,6 +215,36 @@ def test_getrandbits_word_layout():
                 b.getrandbits(32) >> (32 - k) for _ in range(50)
             ]
             assert a.getstate() == b.getstate()
+
+
+# What a vector's lane format consists of: the attributes that hold it and
+# the helpers that read or write it.
+LANE_ATTRIBUTES = {"lanes", "bound"}
+LANE_HELPERS = {"_packed", "_pack", "_unpack", "_reduce", "_barrett", "_spread_words", "_codec"}
+
+
+def lane_format_uses(source):
+    """Each ``.lanes``/``.bound`` read and each lane-helper name in ``source``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in LANE_ATTRIBUTES | LANE_HELPERS:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.Name) and node.id in LANE_HELPERS:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.alias) and node.name in LANE_HELPERS:
+            yield node.lineno, node.name
+
+
+def test_only_the_field_module_knows_the_lane_format():
+    # An engine change then touches field.py alone.
+    assert sorted(lane_format_uses("v.lanes + v.bound\nfrom .field import _reduce")) == [
+        (1, "bound"), (1, "lanes"), (2, "_reduce"),
+    ]
+    offenders = {
+        path.name: list(lane_format_uses(path.read_text(encoding="utf-8")))
+        for path in sorted((SRC / "swiftagg").glob("*.py"))
+        if path.name != "field.py"
+    }
+    assert {name: uses for name, uses in offenders.items() if uses} == {}
 
 
 def test_simulation_does_not_import_numpy():

@@ -75,8 +75,10 @@ def test_enumeration_guard_rejects_large_instances():
             enumerate_views(instance)
     with pytest.raises(TooLargeError):
         check_noise_chain_independence(tiny(6, 2, 0, 7, server))  # 7**12
-    with pytest.raises(TooLargeError):
-        check_share_hiding(FieldSpec(11), 7)  # 11**7
+    for p, degree in ((11, 7), (13, 4)):
+        # (13, 4) has only 13**4 noise assignments but 13 * 13**4 * 793 counted tuples.
+        with pytest.raises(TooLargeError):
+            check_share_hiding(FieldSpec(p), degree)
 
 
 def test_fixed_models_only_for_colluders():
@@ -391,6 +393,28 @@ def test_degree_plus_one_shares_do_reveal():
             counter[shares] += 1
         counts_by_secret.append(counter)
     assert counts_by_secret[0] != counts_by_secret[1]
+
+
+def test_share_hiding_check_witnesses_unmasked_shares(monkeypatch):
+    # Negative control of the real check: with zero noise every share is the
+    # secret itself, so one point already tells secret 0 from secret 1.
+    real = privacy_oracle.build_polynomial
+
+    def unmasked(model, noise, collusion_bound):
+        zeros = [model.field.zeros(len(model))] * collusion_bound
+        return real(model, zeros, collusion_bound)
+
+    monkeypatch.setattr(privacy_oracle, "build_polynomial", unmasked)
+    result = check_share_hiding(FieldSpec(5), 2)
+    assert not result.independent
+    assert result.witness == {
+        "points": [1],
+        "secret_a": 0,
+        "secret_b": 1,
+        "shares": [0],
+        "count_a": 25,
+        "count_b": 0,
+    }
 
 
 # ---------------------------------------------------------------------------

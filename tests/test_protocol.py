@@ -14,7 +14,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swiftagg.errors import IndivisibleNError, TooManyDropoutsError
-from swiftagg.field import FieldSpec, ModelVector, _barrett, _codec, _pack, is_prime, vec_add
+from swiftagg.field import (
+    FieldSpec,
+    ModelVector,
+    _barrett,
+    _codec,
+    _pack,
+    is_prime,
+    sample_noise,
+    uniform_element,
+    vec_add,
+)
 from swiftagg.protocol import (
     AFTER_SHARING,
     BEFORE_SHARING,
@@ -34,13 +44,7 @@ from swiftagg.protocol import (
     execute_seeded,
     run_protocol,
 )
-from swiftagg.sharing import (
-    build_polynomial,
-    sample_noise,
-    share_for,
-    uniform_element,
-    user_rng,
-)
+from swiftagg.sharing import build_polynomial, share_for, user_rng
 from swiftagg.simnet import count_loads
 
 F101 = FieldSpec(101)

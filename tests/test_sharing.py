@@ -16,15 +16,11 @@ from swiftagg.errors import (
 from swiftagg.field import (
     FieldSpec,
     lagrange_interpolate_at_zero,
+    sample_noise,
+    uniform_element,
     vec_add,
 )
-from swiftagg.sharing import (
-    build_polynomial,
-    sample_noise,
-    share_for,
-    uniform_element,
-    user_rng,
-)
+from swiftagg.sharing import build_polynomial, share_for, user_rng
 
 
 def test_build_polynomial_small_example():

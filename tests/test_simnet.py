@@ -83,6 +83,16 @@ def test_adversary_validation():
         AdversaryConfig.of([7]).validate_for(params)
 
 
+def test_repeated_user_ids_are_rejected():
+    # A set or dict would keep one copy: a weaker adversary, fewer victims.
+    with pytest.raises(ValueError, match="duplicate user ids"):
+        AdversaryConfig.of([2, 2])
+    with pytest.raises(ValueError, match="duplicate user ids"):
+        DropoutPlan.uniform([7, 7])
+    assert AdversaryConfig.of([2, 3]).colluders == frozenset({2, 3})
+    assert DropoutPlan.uniform([7, 3]).timings == {7: BEFORE_SHARING, 3: BEFORE_SHARING}
+
+
 # ---------------------------------------------------------------------------
 # Load accounting
 # ---------------------------------------------------------------------------
