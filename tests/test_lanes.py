@@ -12,6 +12,7 @@ as they are.
 import ast
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -221,10 +222,13 @@ def test_getrandbits_word_layout():
 # the helpers that read or write it.
 LANE_ATTRIBUTES = {"lanes", "bound"}
 LANE_HELPERS = {"_packed", "_pack", "_unpack", "_reduce", "_barrett", "_spread_words", "_codec"}
+LANE_WORDS = re.compile(r"\b(%s)\b" % "|".join(LANE_ATTRIBUTES | LANE_HELPERS))
 
 
 def lane_format_uses(source):
     """Each ``.lanes``/``.bound`` read and each lane-helper name in ``source``."""
+    if not LANE_WORDS.search(source):  # only parse what could use the format
+        return
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr in LANE_ATTRIBUTES | LANE_HELPERS:
             yield node.lineno, node.attr
