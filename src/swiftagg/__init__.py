@@ -42,6 +42,7 @@ from .protocol import (
     BEFORE_SHARING,
     DROPOUT_TIMINGS,
     MID_SEQUENCE,
+    AdversaryConfig,
     DropoutPlan,
     GroupPosition,
     MessageLog,
@@ -52,7 +53,6 @@ from .protocol import (
 )
 from .sharing import SharePolynomial, build_polynomial, share_for, user_rng
 from .simnet import (
-    AdversaryConfig,
     AdversaryView,
     RunMetrics,
     SimulationResult,

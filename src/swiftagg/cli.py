@@ -151,18 +151,12 @@ def _checked(prefix: str, build, *args):
     """Call into the library, turning its rejection into a ``ConfigError``.
 
     ``ProtocolParams`` messages already start with the parameter they name;
-    ``prefix`` names the CLI field behind any other value object.  A library
-    warning becomes one ``warning:`` line on stderr, with no source location.
+    ``prefix`` names the CLI field behind any other value object.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            built = build(*args)
-        except (ValueError, IndivisibleNError) as exc:
-            raise ConfigError(f"{prefix}{exc}") from exc
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-    return built
+    try:
+        return build(*args)
+    except (ValueError, IndivisibleNError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def build_run_config(args) -> RunConfig:
@@ -283,37 +277,32 @@ def run_experiments(config: RunConfig, out=None) -> int:
     return 0 if all_ok else 1
 
 
-def run_privacy(no_noise: bool, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def run_privacy(no_noise: bool) -> int:
     try:
         results = run_privacy_suite(no_noise=no_noise)
     except TooLargeError as exc:
         raise ConfigError(f"privacy: {exc}") from exc
     any_dependent = False
     for result in results:
-        out.write(json.dumps(result.to_json()) + "\n")
+        sys.stdout.write(json.dumps(result.to_json()) + "\n")
         any_dependent = any_dependent or not result.independent
     return 1 if any_dependent else 0
 
 
-def run_table(t: int, d: int, model_len: int, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    # Parameter holder only; n is irrelevant to the analytic rows.
+def build_table_params(args) -> ProtocolParams:
+    """A parameter holder for the analytic rows, which do not depend on n."""
+    t, d, model_len = (_read(key, getattr(args, key)) for key in ("t", "d", "model_len"))
     nu = t + d + 1
-    spec = FieldSpec(_smallest_prime_above(nu))
-    params = _checked("", ProtocolParams, 2 * nu, t, d, model_len, spec)
+    p = next((q for q in range(max(nu, 1) + 1, MAX_MODULUS) if is_prime(q)), None)
+    if p is None:
+        raise ConfigError(f"t: no prime modulus below 2**32 exceeds the group size t+d+1={nu}")
+    return _checked("", ProtocolParams, 2 * nu, t, d, model_len, FieldSpec(p))
+
+
+def run_table(params: ProtocolParams) -> int:
     for row in table1_analytic(params):
-        out.write(json.dumps(row) + "\n")
+        sys.stdout.write(json.dumps(row) + "\n")
     return 0
-
-
-def _smallest_prime_above(bound: int) -> int:
-    for candidate in range(max(bound, 1) + 1, MAX_MODULUS):
-        if is_prime(candidate):
-            return candidate
-    raise ConfigError(
-        f"t: no prime modulus below 2**32 exceeds the group size t+d+1={bound}"
-    )
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -375,11 +364,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.command == "run":
                 _reject_dash_led_ids(argv, leftover)
             parser.error(f"unrecognized arguments: {' '.join(leftover)}")
-        if args.command == "run":
-            return run_experiments(build_run_config(args))
         if args.command == "privacy":
             return run_privacy(args.no_noise)
-        return run_table(*(_read(key, getattr(args, key)) for key in ("t", "d", "model_len")))
+        run = args.command == "run"
+        # A library warning becomes a plain ``warning:`` line once every value is accepted.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            built = build_run_config(args) if run else build_table_params(args)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
+        return run_experiments(built) if run else run_table(built)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

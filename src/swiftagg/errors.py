@@ -42,7 +42,7 @@ class TooManyDropoutsError(SwiftAggError):
 
 
 class TooLargeError(SwiftAggError):
-    """Exhaustive enumeration would exceed the size guard."""
+    """Exhaustive enumeration would be larger than the size guard allows."""
 
 
 class ConfigError(SwiftAggError):

@@ -25,9 +25,7 @@ secret, noise assignment and set of at most ``degree`` points; each raises
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from math import comb
@@ -38,15 +36,16 @@ from .field import FieldSpec, _join, _stretch
 from .protocol import (
     BEFORE_SHARING,
     PHASE_INTRA,
-    CollusionBoundWarning,
+    AdversaryConfig,
     DropoutPlan,
     GroupPosition,
     ProtocolParams,
+    _quiet_params,
     assign_groups,
     execute_protocol,
 )
 from .sharing import build_polynomial, share_for
-from .simnet import AdversaryConfig, collect_adversary_view
+from .simnet import collect_adversary_view
 
 # A view enumeration holds about 75 bytes per assignment at its peak, so the
 # guard keeps one under about 0.7 GiB.
@@ -167,10 +166,7 @@ def _enumerated(spec: FieldSpec, slots: int, zero_noise: bool = False) -> tuple:
 
 def _widened(params: ProtocolParams, width: int) -> ProtocolParams:
     """``params`` with ``width``-long models, one coordinate per assignment."""
-    with warnings.catch_warnings():
-        # The caller's params already warned about t = 1.
-        warnings.simplefilter("ignore", CollusionBoundWarning)
-        return dataclasses.replace(params, model_len=width)
+    return _quiet_params(params.n, params.t, params.d, width, params.field)
 
 
 def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDistribution:
@@ -445,28 +441,26 @@ def default_instances() -> list:
     """
     f5 = FieldSpec(5)
     f3 = FieldSpec(3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CollusionBoundWarning)
-        return [
-            TinyInstance(
-                ProtocolParams(2, 1, 0, 1, f5),
-                DropoutPlan.none(),
-                AdversaryConfig.server_only(),
-                label="n2_t1_d0_p5_server_only",
-            ),
-            TinyInstance(
-                ProtocolParams(4, 1, 0, 1, f3),
-                DropoutPlan.none(),
-                AdversaryConfig.of([3], server_curious=True),
-                label="n4_t1_d0_p3_server_plus_colluder",
-            ),
-            TinyInstance(
-                ProtocolParams(4, 1, 2, 1, f5),
-                DropoutPlan.uniform([3]),
-                AdversaryConfig.server_only(),
-                label="n4_t1_d2_p5_server_only_one_dropout",
-            ),
-        ]
+    return [
+        TinyInstance(
+            _quiet_params(2, 1, 0, 1, f5),
+            DropoutPlan.none(),
+            AdversaryConfig.server_only(),
+            label="n2_t1_d0_p5_server_only",
+        ),
+        TinyInstance(
+            _quiet_params(4, 1, 0, 1, f3),
+            DropoutPlan.none(),
+            AdversaryConfig.of([3], server_curious=True),
+            label="n4_t1_d0_p3_server_plus_colluder",
+        ),
+        TinyInstance(
+            _quiet_params(4, 1, 2, 1, f5),
+            DropoutPlan.uniform([3]),
+            AdversaryConfig.server_only(),
+            label="n4_t1_d2_p5_server_only_one_dropout",
+        ),
+    ]
 
 
 def run_privacy_suite(no_noise: bool = False) -> list:

@@ -62,7 +62,10 @@ DROPOUT_TIMINGS = (BEFORE_SHARING, AFTER_SHARING, MID_SEQUENCE)
 
 
 class CollusionBoundWarning(UserWarning):
-    """Raised once for t = 1 runs, which sit outside the stated range 2 <= t < n - d."""
+    """Warned by every ``ProtocolParams`` with t = 1, outside the range 2 <= t < n - d.
+
+    Python's default filter shows it once per call site.
+    """
 
 
 class GroupPosition(NamedTuple):
@@ -127,6 +130,13 @@ class ProtocolParams:
         return self.n // self.group_size
 
 
+def _quiet_params(n, t, d, model_len, field) -> ProtocolParams:
+    """``ProtocolParams`` for the package's own t = 1 instances, without the warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CollusionBoundWarning)
+        return ProtocolParams(n, t, d, model_len, field)
+
+
 def assign_groups(params: ProtocolParams, shuffle_seed: Optional[int] = None):
     """Map user ids to positions; contiguous by default, seeded shuffle on request."""
     order = list(range(1, params.n + 1))
@@ -136,6 +146,22 @@ def assign_groups(params: ProtocolParams, shuffle_seed: Optional[int] = None):
     return {
         user: GroupPosition(i // nu + 1, i % nu + 1) for i, user in enumerate(order)
     }
+
+
+def _distinct_ids(ids) -> list:
+    ids = [int(i) for i in ids]
+    if len(set(ids)) != len(ids):  # a dict or set would keep one copy silently
+        raise ValueError("duplicate user ids")
+    return ids
+
+
+def _check_ids(ids, n: int, role: str, bound: str, cap: int) -> None:
+    """Every id a user in ``[1, n]``, and at most ``cap`` of them."""
+    for uid in ids:
+        if not 1 <= uid <= n:
+            raise ValueError(f"{role} {uid} is not a user id in [1, {n}]")
+    if len(ids) > cap:
+        raise ValueError(f"{len(ids)} {role}s exceed the {bound}={cap}")
 
 
 @dataclass(frozen=True)
@@ -150,25 +176,40 @@ class DropoutPlan:
 
     @classmethod
     def uniform(cls, victims, timing: str = BEFORE_SHARING) -> "DropoutPlan":
-        ids = [int(v) for v in victims]
-        if len(set(ids)) != len(ids):  # the dict would keep one copy silently
-            raise ValueError("duplicate user ids")
-        return cls(dict.fromkeys(ids, timing))
+        return cls(dict.fromkeys(_distinct_ids(victims), timing))
 
     @property
     def victims(self) -> frozenset:
         return frozenset(self.timings)
 
     def validate_for(self, params: ProtocolParams) -> None:
-        for uid, timing in self.timings.items():
-            if not 1 <= uid <= params.n:
-                raise ValueError(f"victim {uid} is not a user id in [1, {params.n}]")
+        _check_ids(self.timings, params.n, "victim", "dropout bound d", params.d)
+        for timing in self.timings.values():
             if timing not in DROPOUT_TIMINGS:
                 raise ValueError(f"unknown dropout timing {timing!r}")
-        if len(self.timings) > params.d:
-            raise ValueError(
-                f"{len(self.timings)} victims exceed the dropout bound d={params.d}"
-            )
+
+
+@dataclass(frozen=True)
+class AdversaryConfig:
+    """The colluding set (size <= t) plus whether the server is curious."""
+
+    colluders: frozenset
+    server_curious: bool
+
+    @classmethod
+    def none(cls) -> "AdversaryConfig":
+        return cls(frozenset(), False)
+
+    @classmethod
+    def server_only(cls) -> "AdversaryConfig":
+        return cls(frozenset(), True)
+
+    @classmethod
+    def of(cls, colluders, server_curious: bool = True) -> "AdversaryConfig":
+        return cls(frozenset(_distinct_ids(colluders)), server_curious)
+
+    def validate_for(self, params: ProtocolParams) -> None:
+        _check_ids(self.colluders, params.n, "colluder", "collusion bound t", params.t)
 
 
 # ---------------------------------------------------------------------------

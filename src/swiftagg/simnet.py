@@ -14,43 +14,12 @@ from typing import Mapping, NamedTuple, Sequence
 from .field import ModelVector
 from .protocol import (
     PHASE_UPLOAD,
+    AdversaryConfig,
     DropoutPlan,
     MessageLog,
     ProtocolParams,
     execute_seeded,
 )
-
-
-@dataclass(frozen=True)
-class AdversaryConfig:
-    """The colluding set (size <= t) plus whether the server is curious."""
-
-    colluders: frozenset
-    server_curious: bool
-
-    @classmethod
-    def none(cls) -> "AdversaryConfig":
-        return cls(frozenset(), False)
-
-    @classmethod
-    def server_only(cls) -> "AdversaryConfig":
-        return cls(frozenset(), True)
-
-    @classmethod
-    def of(cls, colluders, server_curious: bool = True) -> "AdversaryConfig":
-        ids = [int(c) for c in colluders]
-        if len(set(ids)) != len(ids):  # the set would keep one copy silently
-            raise ValueError("duplicate user ids")
-        return cls(frozenset(ids), server_curious)
-
-    def validate_for(self, params: ProtocolParams) -> None:
-        for uid in self.colluders:
-            if not 1 <= uid <= params.n:
-                raise ValueError(f"colluder {uid} is not a user id in [1, {params.n}]")
-        if len(self.colluders) > params.t:
-            raise ValueError(
-                f"{len(self.colluders)} colluders exceed the collusion bound t={params.t}"
-            )
 
 
 @dataclass(frozen=True)

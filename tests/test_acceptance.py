@@ -8,7 +8,6 @@ calibrated or approximate.
 import itertools
 import random
 import time
-import warnings
 from pathlib import Path
 
 from swiftagg.field import (
@@ -27,39 +26,17 @@ from swiftagg.protocol import (
     AFTER_SHARING,
     BEFORE_SHARING,
     MID_SEQUENCE,
-    CollusionBoundWarning,
-    ProtocolParams,
     run_protocol,
 )
 from swiftagg.sharing import SharePolynomial
 from swiftagg.simnet import AdversaryConfig, DropoutPlan, simulate
 
+from helpers import field_sum, make_params, random_models
+
 DATA_DIR = Path(__file__).parent / "data"
 
 PRIMES = [11, 101, (1 << 31) - 1]
 TIMINGS = [BEFORE_SHARING, AFTER_SHARING, MID_SEQUENCE]
-
-
-def make_params(n, t, d, length, p):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CollusionBoundWarning)
-        return ProtocolParams(n, t, d, length, FieldSpec(p))
-
-
-def field_sum(field, vectors, length):
-    total = field.zeros(length)
-    for v in vectors:
-        total = vec_add(total, v)
-    return total
-
-
-def random_models(params, rng):
-    return [
-        params.field.vector(
-            [rng.randrange(params.field.p) for _ in range((params.model_len))]
-        )
-        for _ in range(params.n)
-    ]
 
 
 def report(number, name, ok=True):

@@ -109,6 +109,26 @@ def test_indivisible_n_is_config_error(capsys):
     assert "n:" in err
 
 
+def test_warning_only_for_an_accepted_command(capsys):
+    # A rejected t = 1 command prints its error alone: no warning for a run
+    # that never starts.
+    for flags, error in (
+        (["--drop", "9"], "drop: victim 9 is not a user id in [1, 6]"),
+        (["--adversary", "1", "2"], "adversary: 2 colluders exceed the collusion bound t=1"),
+    ):
+        code, out, err = run_cli(capsys, "run", "--n", "6", "--t", "1", "--d", "1", *flags)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+    # An accepted one warns exactly once, before its output.
+    line = (
+        "warning: t=1 is below the protocol's stated collusion range "
+        "2 <= t < n - d; execution is still exact\n"
+    )
+    for argv in (["run", "--n", "4", "--t", "1", "--d", "0"], ["table", "--t", "1", "--d", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, line)
+        assert out
+
+
 def test_missing_required_field(capsys):
     code, _, err = run_cli(capsys, "run", "--n", "4")
     assert code == 2

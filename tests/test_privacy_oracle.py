@@ -1,7 +1,6 @@
 """Exhaustive independence checks, their guards, and their negative controls."""
 
 import itertools
-import warnings
 from collections import Counter
 
 import pytest
@@ -22,18 +21,12 @@ from swiftagg.protocol import (
     AFTER_SHARING,
     BEFORE_SHARING,
     MID_SEQUENCE,
-    CollusionBoundWarning,
-    ProtocolParams,
     assign_groups,
     execute_protocol,
 )
 from swiftagg.simnet import AdversaryConfig, DropoutPlan, collect_adversary_view
 
-
-def make_params(n, t, d, length=1, p=5):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CollusionBoundWarning)
-        return ProtocolParams(n, t, d, length, FieldSpec(p))
+from helpers import make_params
 
 
 def tiny(n, t, d, p, adversary, plan=None, label=""):
@@ -53,10 +46,12 @@ def tiny(n, t, d, p, adversary, plan=None, label=""):
 def test_instance_bounds_enforced():
     with pytest.raises(ValueError):
         TinyInstance(
-            make_params(2, 1, 0, length=2),  # vectors, not scalars
+            make_params(2, 1, 0, length=2, p=5),  # vectors, not scalars
             DropoutPlan.none(),
             AdversaryConfig.server_only(),
         )
+    with pytest.raises(ValueError, match="modulus <= 7"):
+        tiny(2, 1, 0, 11, AdversaryConfig.server_only())  # p > 7
     with pytest.raises(ValueError):
         tiny(8, 1, 0, 5, AdversaryConfig.server_only())  # n > 6
     with pytest.raises(ValueError):
@@ -84,7 +79,7 @@ def test_enumeration_guard_rejects_large_instances():
 def test_fixed_models_only_for_colluders():
     with pytest.raises(ValueError):
         TinyInstance(
-            make_params(2, 1, 0),
+            make_params(2, 1, 0, p=5),
             DropoutPlan.none(),
             AdversaryConfig.server_only(),
             colluder_models={1: 3},
@@ -164,7 +159,7 @@ def differential_instances():
     cases.append((AdversaryConfig.server_only(), MID_SEQUENCE))
     for adversary, timing in cases:
         yield TinyInstance(
-            make_params(3, 1, 1),
+            make_params(3, 1, 1, p=5),
             DropoutPlan({2: timing}),
             adversary,
             colluder_models={uid: 3 for uid in adversary.colluders},
@@ -187,7 +182,7 @@ def test_forced_chunking_matches_per_assignment_runs(monkeypatch):
     default = privacy_oracle.RUN_COLUMNS
     instances = default_instances()[:2] + [
         TinyInstance(
-            make_params(3, 1, 1),
+            make_params(3, 1, 1, p=5),
             DropoutPlan({2: MID_SEQUENCE}),
             AdversaryConfig.of([1], server_curious=True),
             colluder_models={1: 3},

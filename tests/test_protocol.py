@@ -7,7 +7,6 @@ column sums, the exact set of null slots and the exact load counts.
 import hashlib
 import itertools
 import random
-import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +22,6 @@ from swiftagg.field import (
     is_prime,
     sample_noise,
     uniform_element,
-    vec_add,
 )
 from swiftagg.protocol import (
     AFTER_SHARING,
@@ -47,20 +45,9 @@ from swiftagg.protocol import (
 from swiftagg.sharing import build_polynomial, share_for, user_rng
 from swiftagg.simnet import count_loads
 
+from helpers import field_sum, make_params, random_models
+
 F101 = FieldSpec(101)
-
-
-def make_params(n, t, d, length=1, p=101):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CollusionBoundWarning)
-        return ProtocolParams(n, t, d, length, FieldSpec(p))
-
-
-def field_sum(field, vectors):
-    total = field.zeros(len(vectors[0].values))
-    for v in vectors:
-        total = vec_add(total, v)
-    return total
 
 
 def sampled_noise(params, seed):
@@ -157,14 +144,6 @@ def test_server_needs_enough_uploads():
 # ---------------------------------------------------------------------------
 # Full runs
 # ---------------------------------------------------------------------------
-
-
-def random_models(params, seed):
-    rng = random.Random(seed)
-    return [
-        params.field.vector([rng.randrange(params.field.p) for _ in range(params.model_len)])
-        for _ in range(params.n)
-    ]
 
 
 def test_motivating_scenario_facts():
@@ -424,6 +403,32 @@ def test_too_many_victims_rejected():
     noise = sampled_noise(params, seed=2)
     with pytest.raises(ValueError):
         execute_protocol(params, models, noise, {1: BEFORE_SHARING, 2: BEFORE_SHARING})
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda field, models, noise: (models[:-1], noise), "expected 6 models, got 5"),
+        (
+            lambda field, models, noise: ([FieldSpec(13).vector([0])] + models[1:], noise),
+            "model vector lies in the wrong field",
+        ),
+        (
+            lambda field, models, noise: ([field.vector([0, 0])] + models[1:], noise),
+            "model vector has the wrong length",
+        ),
+        (
+            lambda field, models, noise: (models, {u: z for u, z in noise.items() if u != 4}),
+            "no noise vectors supplied for user 4",
+        ),
+    ],
+    ids=["model_count", "field", "length", "noise"],
+)
+def test_malformed_run_inputs_rejected(spoil, message):
+    params = make_params(6, 1, 1, p=11)
+    models, noise = spoil(params.field, random_models(params, 1), sampled_noise(params, seed=2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        execute_protocol(params, models, noise, {})
 
 
 # ---------------------------------------------------------------------------

@@ -3,18 +3,14 @@
 import dataclasses
 import itertools
 import json
-import random
-import warnings
 
 import pytest
 
-from swiftagg.field import FieldSpec, lagrange_interpolate_at_zero, vec_add
+from swiftagg.field import lagrange_interpolate_at_zero
 from swiftagg.protocol import (
     AFTER_SHARING,
     BEFORE_SHARING,
     MID_SEQUENCE,
-    CollusionBoundWarning,
-    ProtocolParams,
     assign_groups,
 )
 from swiftagg.sharing import derive_subseed
@@ -25,26 +21,7 @@ from swiftagg.simnet import (
     table1_analytic,
 )
 
-
-def make_params(n, t, d, length=1, p=101):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CollusionBoundWarning)
-        return ProtocolParams(n, t, d, length, FieldSpec(p))
-
-
-def random_models(params, seed):
-    rng = random.Random(seed)
-    return [
-        params.field.vector([rng.randrange(params.field.p) for _ in range(params.model_len)])
-        for _ in range(params.n)
-    ]
-
-
-def field_sum(field, vectors):
-    total = field.zeros(len(vectors[0].values))
-    for v in vectors:
-        total = vec_add(total, v)
-    return total
+from helpers import field_sum, make_params, random_models
 
 
 def run(params, models, plan=None, adversary=None, seed=0, **kw):
@@ -61,9 +38,10 @@ def run(params, models, plan=None, adversary=None, seed=0, **kw):
 def test_plan_validation():
     params = make_params(6, 1, 1, p=11)
     DropoutPlan.uniform([3]).validate_for(params)
-    with pytest.raises(ValueError):
+    assert DropoutPlan.uniform([7, 3]).timings == {7: BEFORE_SHARING, 3: BEFORE_SHARING}
+    with pytest.raises(ValueError, match=r"^2 victims exceed the dropout bound d=1$"):
         DropoutPlan.uniform([1, 2]).validate_for(params)  # |victims| > d
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^victim 9 is not a user id in \[1, 6\]$"):
         DropoutPlan.uniform([9]).validate_for(params)
     with pytest.raises(ValueError):
         DropoutPlan({3: "sometime"}).validate_for(params)
@@ -79,9 +57,10 @@ def test_plan_validation():
 def test_adversary_validation():
     params = make_params(6, 1, 1, p=11)
     AdversaryConfig.of([4]).validate_for(params)
-    with pytest.raises(ValueError):
+    assert AdversaryConfig.of([2, 3]).colluders == frozenset({2, 3})
+    with pytest.raises(ValueError, match=r"^2 colluders exceed the collusion bound t=1$"):
         AdversaryConfig.of([1, 2]).validate_for(params)  # |colluders| > t
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^colluder 7 is not a user id in \[1, 6\]$"):
         AdversaryConfig.of([7]).validate_for(params)
     with pytest.raises(ValueError, match="duplicate user ids"):
         AdversaryConfig.of([2, 2])  # the set would keep one colluder
