@@ -221,14 +221,13 @@ def _sample_victims(config: RunConfig, rng: random.Random) -> tuple:
     return tuple(sorted(rng.sample(range(1, n + 1), count)))
 
 
-def run_experiments(config: RunConfig, out=None) -> int:
-    """Execute ``reps`` simulations; emit one record each; nonzero on any failure."""
-    out = out if out is not None else sys.stdout
+def run_experiments(config: RunConfig) -> int:
+    """Execute ``reps`` simulations; print one record each; nonzero on any failure."""
     params = config.params
 
     writer = None
     if config.out_format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(RESULT_FIELDS)
 
     all_ok = True
@@ -254,7 +253,7 @@ def run_experiments(config: RunConfig, out=None) -> int:
         p = params.field.p
         sums = [0] * params.model_len
         for uid, m in enumerate(models, 1):
-            if uid not in plan.victims:
+            if uid not in plan.excluded:
                 sums = list(map(operator.add, sums, m.values))
         expected = tuple(s % p for s in sums)
         ok = result.recovered.field == params.field and result.recovered.values == expected
@@ -273,7 +272,7 @@ def run_experiments(config: RunConfig, out=None) -> int:
                 + [record[k] for k in RESULT_FIELDS[1:]]
             )
         else:
-            out.write(json.dumps(record) + "\n")
+            sys.stdout.write(json.dumps(record) + "\n")
     return 0 if all_ok else 1
 
 

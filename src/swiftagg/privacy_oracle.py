@@ -34,7 +34,6 @@ from typing import Mapping, Optional
 from .errors import TooLargeError
 from .field import FieldSpec, _join, _stretch
 from .protocol import (
-    BEFORE_SHARING,
     PHASE_INTRA,
     AdversaryConfig,
     DropoutPlan,
@@ -186,7 +185,7 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     p = spec.p
     honest = instance.honest
     positions = assign_groups(params)
-    timings = dict(instance.plan.timings)
+    plan = instance.plan
 
     columns = _enumerated(spec, instance.noise_symbol_count, zero_noise)
     width = len(columns[0])
@@ -194,8 +193,7 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     noise = {uid: columns[(uid - 1) * params.t : uid * params.t] for uid in range(1, params.n + 1)}
     singles = [(v,) for v in range(p)]
 
-    # Contributing honest users: everyone whose shares entered the run.
-    contributing = [uid for uid in honest if timings.get(uid) != BEFORE_SHARING]
+    contributing = [uid for uid in honest if uid not in plan.excluded]
     honest_index = {uid: i for i, uid in enumerate(honest)}
 
     # Colluder models and noise do not depend on the honest models, so the
@@ -220,7 +218,7 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
         }
         held.update(zip(honest, zip(*chunk)))
         models = [_stretch(spec, held[u], width) for u in sorted(held)]
-        run = execute_protocol(_widened(params, total), models, wide_noise, timings, positions)
+        run = execute_protocol(_widened(params, total), models, wide_noise, plan, positions)
         view = collect_adversary_view(run.log, instance.adversary, models, wide_noise)
         received = _payload_columns(view.received, total, singles)
         uploads = _payload_columns(view.uploads, total, singles)
@@ -336,12 +334,11 @@ def check_noise_chain_independence(
             if pos.gamma > 1:
                 noise[uid] = noise[by_position[GroupPosition(1, pos.t)]]
     zero = spec.zeros(total)
-    for uid, timing in instance.plan.timings.items():
-        if timing == BEFORE_SHARING:
-            noise[uid] = (zero,) * params.t
+    for uid in instance.plan.excluded:
+        noise[uid] = (zero,) * params.t
 
     run = execute_protocol(
-        _widened(params, total), [zero] * params.n, noise, {}, positions
+        _widened(params, total), [zero] * params.n, noise, DropoutPlan.none(), positions
     )
     ztilde = {
         (m.sender.gamma, m.sender.t): m.payload.values
@@ -391,6 +388,8 @@ def check_share_hiding(spec: FieldSpec, degree: int) -> CheckResult:
     of up to ``degree`` distinct nonzero points, the exact joint share
     distribution must be the same for every secret value as for secret 0.
     """
+    if degree < 0:
+        raise ValueError(f"degree: must be >= 0, got {degree}")
     p = spec.p
     label = f"p{p}_degree{degree}"
     width = p**degree

@@ -158,8 +158,12 @@ def _distinct_ids(ids) -> list:
 def _check_ids(ids, n: int, role: str, bound: str, cap: int) -> None:
     """Every id a user in ``[1, n]``, and at most ``cap`` of them."""
     for uid in ids:
-        if not 1 <= uid <= n:
-            raise ValueError(f"{role} {uid} is not a user id in [1, {n}]")
+        try:
+            inside = 1 <= uid <= n
+        except TypeError:  # an id that is no number, such as the string "3"
+            inside = False
+        if not inside:
+            raise ValueError(f"{role} {uid!r} is not a user id in [1, {n}]")
     if len(ids) > cap:
         raise ValueError(f"{len(ids)} {role}s exceed the {bound}={cap}")
 
@@ -175,12 +179,13 @@ class DropoutPlan:
         return cls({})
 
     @classmethod
-    def uniform(cls, victims, timing: str = BEFORE_SHARING) -> "DropoutPlan":
-        return cls(dict.fromkeys(_distinct_ids(victims), timing))
+    def uniform(cls, victims) -> "DropoutPlan":
+        return cls(dict.fromkeys(_distinct_ids(victims), BEFORE_SHARING))
 
     @property
-    def victims(self) -> frozenset:
-        return frozenset(self.timings)
+    def excluded(self) -> frozenset:
+        """The users the aggregate leaves out: the victims silent before sharing."""
+        return frozenset(uid for uid, when in self.timings.items() if when == BEFORE_SHARING)
 
     def validate_for(self, params: ProtocolParams) -> None:
         _check_ids(self.timings, params.n, "victim", "dropout bound d", params.d)
@@ -327,7 +332,7 @@ class ProtocolRun(NamedTuple):
     log: MessageLog
 
 
-def _validate_run_inputs(params, models, noise, timings):
+def _validate_run_inputs(params, models, noise, plan):
     if len(models) != params.n:
         raise ValueError(f"expected {params.n} models, got {len(models)}")
     for m in models:
@@ -335,7 +340,7 @@ def _validate_run_inputs(params, models, noise, timings):
             raise ValueError("model vector lies in the wrong field")
         if len(m) != params.model_len:
             raise ValueError("model vector has the wrong length")
-    DropoutPlan(timings).validate_for(params)
+    plan.validate_for(params)
     for uid in range(1, params.n + 1):
         if uid not in noise:
             raise ValueError(f"no noise vectors supplied for user {uid}")
@@ -345,19 +350,19 @@ def execute_protocol(
     params: ProtocolParams,
     models: Sequence[ModelVector],
     noise: Mapping[int, tuple],
-    timings: Mapping[int, str],
+    plan: DropoutPlan,
     positions: Optional[Mapping[int, GroupPosition]] = None,
 ) -> ProtocolRun:
     """Drive every phase over prebuilt inputs and return the full transcript.
 
     ``models`` holds one vector per user (index ``uid - 1``); ``noise`` maps a
-    user id to its ``t`` masking vectors; ``timings`` maps victim ids to a
-    dropout timing.  Randomness comes in explicitly so callers can either
-    sample it (simulation harness) or enumerate it exhaustively (privacy
-    oracle).  The recovered sum covers exactly the users whose shares were
-    distributed, i.e. everyone except ``before_sharing`` victims.
+    user id to its ``t`` masking vectors; ``plan`` says which users go silent
+    and when.  Randomness comes in explicitly so callers can either sample it
+    (simulation harness) or enumerate it exhaustively (privacy oracle).  The
+    recovered sum covers exactly the users whose shares were distributed,
+    i.e. everyone but ``plan.excluded``.
     """
-    _validate_run_inputs(params, models, noise, timings)
+    _validate_run_inputs(params, models, noise, plan)
     if positions is None:
         positions = assign_groups(params)
     num_groups = params.num_groups
@@ -378,10 +383,11 @@ def execute_protocol(
     # slots and adds nothing to its groupmates' lists: the share they presume
     # for it is zero, which changes no entry and no lane bound of their sums,
     # so leaving it out is exact.
+    excluded = plan.excluded
     shares: dict[int, list] = {uid: [] for uid in range(1, params.n + 1)}
     for uid in range(1, params.n + 1):
         pos = positions[uid]
-        if timings.get(uid) == BEFORE_SHARING:
+        if uid in excluded:
             for t2, _, peer_pos in members[pos.gamma]:
                 if t2 != pos.t:
                     log.append(Message(PHASE_INTRA, pos, peer_pos, t2, None))
@@ -406,7 +412,7 @@ def execute_protocol(
             pos = positions[uid]
             t = pos.t
             next_pos = None if last else GroupPosition(gamma + 1, t)
-            if uid in timings or (gamma > 1 and partial[t] is None):
+            if uid in plan.timings or (gamma > 1 and partial[t] is None):
                 partial[t] = None
             else:
                 q = vec_sum(shares[uid])
@@ -422,7 +428,7 @@ def execute_protocol(
 def execute_seeded(
     params: ProtocolParams,
     models: Sequence[ModelVector],
-    timings: Mapping[int, str],
+    plan: DropoutPlan,
     seed: int,
     group_shuffle: bool = False,
 ) -> tuple:
@@ -437,21 +443,14 @@ def execute_seeded(
         uid: sample_noise(params.field, params.t, params.model_len, user_rng(seed, uid))
         for uid in range(1, params.n + 1)
     }
-    return execute_protocol(params, models, noise, timings, positions), noise
+    return execute_protocol(params, models, noise, plan, positions), noise
 
 
-def run_protocol(
-    params: ProtocolParams,
-    models: Sequence[ModelVector],
-    dropouts,
-    seed: int,
-    group_shuffle: bool = False,
-):
+def run_protocol(params: ProtocolParams, models: Sequence[ModelVector], dropouts, seed: int):
     """Sample noise from ``seed`` and run; dropouts stay silent from the start.
 
     Returns ``(recovered, log)`` where the recovered vector equals the exact
     field sum of the non-dropped users' models.
     """
-    timings = {int(uid): BEFORE_SHARING for uid in dropouts}
-    run, _ = execute_seeded(params, models, timings, seed, group_shuffle)
+    run, _ = execute_seeded(params, models, DropoutPlan.uniform(dropouts), seed)
     return run.recovered, run.log

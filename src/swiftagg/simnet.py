@@ -122,7 +122,7 @@ def simulate(
 ) -> SimulationResult:
     """One deterministic run: execute, account loads, capture the adversary view."""
     adversary.validate_for(params)
-    run, noise = execute_seeded(params, models, plan.timings, seed, group_shuffle)
+    run, noise = execute_seeded(params, models, plan, seed, group_shuffle)
     metrics = count_loads(run.log, params)
     view = collect_adversary_view(run.log, adversary, models, noise)
     return SimulationResult(run.recovered, metrics, view, run.log)

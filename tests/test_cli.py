@@ -165,14 +165,16 @@ def test_json_and_csv_agree_field_for_field():
         parse_run_args("--n", "6", "--t", "1", "--d", "1", "--drop", "2", "--seed", "5")
     )
     json_buf, csv_buf = io.StringIO(), io.StringIO()
-    run_experiments(config, out=json_buf)
+    with redirect_stdout(json_buf):
+        run_experiments(config)
     config_csv = build_run_config(
         parse_run_args(
             "--n", "6", "--t", "1", "--d", "1", "--drop", "2", "--seed", "5",
             "--format", "csv",
         )
     )
-    run_experiments(config_csv, out=csv_buf)
+    with redirect_stdout(csv_buf):
+        run_experiments(config_csv)
 
     json_record = json.loads(json_buf.getvalue().strip())
     rows = list(csv.DictReader(io.StringIO(csv_buf.getvalue())))
@@ -190,7 +192,8 @@ def test_same_config_and_seed_reproduces_results():
     outputs = []
     for _ in range(2):
         buf = io.StringIO()
-        run_experiments(build_run_config(parse_run_args(*argv)), out=buf)
+        with redirect_stdout(buf):
+            run_experiments(build_run_config(parse_run_args(*argv)))
         records = [json.loads(line) for line in buf.getvalue().splitlines()]
         # wall-clock timing is the only nondeterministic field
         outputs.append([{k: v for k, v in r.items() if k != "elapsed"} for r in records])

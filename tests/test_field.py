@@ -165,6 +165,10 @@ def test_interpolate_errors():
         lagrange_interpolate_at_zero([(1, f.vector([1])), (1, f.vector([2]))], 1)
     with pytest.raises(ZeroEvaluationPointError):
         lagrange_interpolate_at_zero([(0, f.vector([1])), (2, f.vector([2]))], 1)
+    with pytest.raises(InsufficientPointsError, match=r"^no points supplied$"):
+        lagrange_interpolate_at_zero([], 1)
+    with pytest.raises(ValueError, match=r"^degree bound must be >= 0$"):
+        lagrange_interpolate_at_zero([(1, f.vector([1]))], -1)
 
 
 def test_interpolate_checks_surplus_consistency():

@@ -35,7 +35,7 @@ from swiftagg.field import (
     vec_add,
     vec_sum,
 )
-from swiftagg.protocol import AFTER_SHARING, ProtocolParams, execute_protocol
+from swiftagg.protocol import AFTER_SHARING, DropoutPlan, ProtocolParams, execute_protocol
 from swiftagg.sharing import SharePolynomial, share_for
 
 # 2147483659 has a large 2**32 mod p (2147483637).
@@ -429,7 +429,7 @@ def test_protocol_run_never_unpacks_until_the_result_is_read(monkeypatch, p):
         for uid in range(1, params.n + 1)
     }
     monkeypatch.setattr(swiftagg.field, "_unpack", counted)
-    run = execute_protocol(params, models, noise, {5: AFTER_SHARING})
+    run = execute_protocol(params, models, noise, DropoutPlan({5: AFTER_SHARING}))
     assert calls == []
     values = run.recovered.values
     assert calls == [length]

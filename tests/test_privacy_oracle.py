@@ -74,6 +74,8 @@ def test_enumeration_guard_rejects_large_instances():
         # (13, 4) has only 13**4 noise assignments but 13 * 13**4 * 793 counted tuples.
         with pytest.raises(TooLargeError):
             check_share_hiding(FieldSpec(p), degree)
+    with pytest.raises(ValueError, match=r"^degree: must be >= 0, got -1$"):
+        check_share_hiding(FieldSpec(5), -1)  # p**-1 is no width
 
 
 def test_fixed_models_only_for_colluders():
@@ -137,7 +139,7 @@ def reference_views(instance, zero_noise=False):
                 uid: [vec[v] for v in zs[(uid - 1) * params.t:uid * params.t]]
                 for uid in range(1, params.n + 1)
             }
-            run = execute_protocol(params, models, noise, instance.plan.timings, positions)
+            run = execute_protocol(params, models, noise, instance.plan, positions)
             view = collect_adversary_view(run.log, instance.adversary, models, noise)
             counter[view.canonical()] += 1
         views[w] = counter
@@ -291,7 +293,7 @@ def test_witness_is_the_first_differing_view_in_first_seen_order():
     # A view with a null slot: set order over such views followed hash(None),
     # which differs between processes on Python < 3.12.
     adversary = AdversaryConfig.of([1], server_curious=True)
-    instance = tiny(4, 1, 2, 5, adversary, plan=DropoutPlan.uniform([3], BEFORE_SHARING))
+    instance = tiny(4, 1, 2, 5, adversary, plan=DropoutPlan.uniform([3]))
     result = check_conditional_independence(enumerate_views(instance, zero_noise=True))
     assert result.witness == {
         "aggregate": 0,
@@ -421,7 +423,7 @@ def test_default_instances_are_valid_and_labeled():
     instances = default_instances()
     assert len(instances) == 3
     assert all(inst.label for inst in instances)
-    assert instances[2].plan.victims == frozenset({3})
+    assert instances[2].plan.excluded == frozenset({3})
 
 
 def test_run_privacy_suite_negative_control():

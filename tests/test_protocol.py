@@ -29,6 +29,7 @@ from swiftagg.protocol import (
     DROPOUT_TIMINGS,
     MID_SEQUENCE,
     CollusionBoundWarning,
+    DropoutPlan,
     GroupPosition,
     Message,
     MessageLog,
@@ -181,7 +182,7 @@ def test_upload_equals_unrolled_group_sums():
     params = make_params(12, 2, 1, length=2)
     models = random_models(params, 13)
     noise = sampled_noise(params, seed=6)
-    run = execute_protocol(params, models, noise, {})
+    run = execute_protocol(params, models, noise, DropoutPlan.none())
     polys = {
         uid: build_polynomial(models[uid - 1], noise[uid], params.t)
         for uid in range(1, 13)
@@ -215,8 +216,8 @@ def test_wide_seeded_run_matches_per_entry_noise(p):
     # path; at 2,048 entries every user's noise takes it.
     params = make_params(12, 2, 1, length=2048, p=p)
     models = random_models(params, 5)
-    timings = {9: MID_SEQUENCE}
-    run, _ = execute_seeded(params, models, timings, seed=21)
+    plan = DropoutPlan({9: MID_SEQUENCE})
+    run, _ = execute_seeded(params, models, plan, seed=21)
     looped = {}
     for uid in range(1, params.n + 1):
         rng = user_rng(21, uid)
@@ -224,7 +225,7 @@ def test_wide_seeded_run_matches_per_entry_noise(p):
             params.field.vector([uniform_element(params.field, rng) for _ in range(2048)])
             for _ in range(params.t)
         )
-    expected = execute_protocol(params, models, looped, timings)
+    expected = execute_protocol(params, models, looped, plan)
     assert run.log.serialize() == expected.log.serialize()
     assert run.recovered == expected.recovered
 
@@ -232,9 +233,9 @@ def test_wide_seeded_run_matches_per_entry_noise(p):
 def test_group_shuffle_preserves_recovery():
     params = make_params(12, 2, 1, length=2)
     models = random_models(params, 31)
-    recovered, _ = run_protocol(params, models, {4}, seed=1, group_shuffle=True)
+    run, _ = execute_seeded(params, models, DropoutPlan.uniform([4]), seed=1, group_shuffle=True)
     expected = field_sum(params.field, [m for n, m in enumerate(models, start=1) if n != 4])
-    assert recovered == expected
+    assert run.recovered == expected
 
 
 def test_phase_major_transcript_order():
@@ -285,7 +286,8 @@ def hand_built_log(payloads):
 )
 def test_digests_match_reference_on_runs(n, t, d, length, p, timings):
     params = make_params(n, t, d, length, p)
-    run, _ = execute_seeded(params, random_models(params, n), timings, seed=4, group_shuffle=True)
+    plan = DropoutPlan(timings)
+    run, _ = execute_seeded(params, random_models(params, n), plan, seed=4, group_shuffle=True)
     assert any(m.payload is None for m in run.log)
     assert_digests_match_reference(run.log)
 
@@ -329,8 +331,8 @@ def test_golden_transcript_at_scale(p, digest):
     # 60 users, 16 entries: more than one reduction step of live payloads.
     params = ProtocolParams(60, 2, 2, 16, FieldSpec(p))
     models = [params.field.vector([(u * 1000003 + k) % p for k in range(16)]) for u in range(1, 61)]
-    timings = {7: AFTER_SHARING, 31: MID_SEQUENCE}
-    run, _ = execute_seeded(params, models, timings, seed=5, group_shuffle=True)
+    plan = DropoutPlan({7: AFTER_SHARING, 31: MID_SEQUENCE})
+    run, _ = execute_seeded(params, models, plan, seed=5, group_shuffle=True)
     text = run.log.serialize()
     assert text.count("\n") == 300
     assert text.count("payload=-") == 5
@@ -345,7 +347,7 @@ def test_serializing_keeps_lane_caches_flat():
     _barrett.cache_clear()
     _codec.cache_clear()
     logs = [
-        execute_seeded(params, models, timings, seed=6)[0].log
+        execute_seeded(params, models, DropoutPlan(timings), seed=6)[0].log
         for timings in ({}, {7: BEFORE_SHARING}, {7: BEFORE_SHARING, 31: MID_SEQUENCE})
     ]
     assert len({sum(m.payload is not None for m in log) for log in logs}) == 3
@@ -365,7 +367,7 @@ def test_dropout_timing_semantics(timing, victim):
     params = make_params(12, 2, 1, length=2)
     models = random_models(params, victim * 7 + 1)
     noise = sampled_noise(params, seed=4)
-    run = execute_protocol(params, models, noise, {victim: timing})
+    run = execute_protocol(params, models, noise, DropoutPlan({victim: timing}))
     if timing == BEFORE_SHARING:
         contributing = [m for n, m in enumerate(models, start=1) if n != victim]
     else:
@@ -391,7 +393,7 @@ def test_at_most_d_sequences_die():
     positions = assign_groups(params)
     assert positions[1].t == positions[5].t
     run = execute_protocol(
-        params, models, noise, {1: BEFORE_SHARING, 5: MID_SEQUENCE}
+        params, models, noise, DropoutPlan({1: BEFORE_SHARING, 5: MID_SEQUENCE})
     )
     null_uploads = [m for m in run.log if m.payload is None and m.phase == "upload"]
     assert len(null_uploads) == 1
@@ -402,7 +404,9 @@ def test_too_many_victims_rejected():
     models = random_models(params, 1)
     noise = sampled_noise(params, seed=2)
     with pytest.raises(ValueError):
-        execute_protocol(params, models, noise, {1: BEFORE_SHARING, 2: BEFORE_SHARING})
+        execute_protocol(
+            params, models, noise, DropoutPlan({1: BEFORE_SHARING, 2: BEFORE_SHARING})
+        )
 
 
 @pytest.mark.parametrize(
@@ -428,7 +432,7 @@ def test_malformed_run_inputs_rejected(spoil, message):
     params = make_params(6, 1, 1, p=11)
     models, noise = spoil(params.field, random_models(params, 1), sampled_noise(params, seed=2))
     with pytest.raises(ValueError, match=f"^{message}$"):
-        execute_protocol(params, models, noise, {})
+        execute_protocol(params, models, noise, DropoutPlan.none())
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +492,8 @@ def test_protocol_matches_sums_null_slots_and_loads(instance):
     params = make_params(n, t, d, length=model_len, p=p)
     models = random_models(params, seed)
     positions = assign_groups(params, shuffle_seed=shuffle_seed)
-    run = execute_protocol(params, models, sampled_noise(params, seed), timings, positions)
+    noise = sampled_noise(params, seed)
+    run = execute_protocol(params, models, noise, DropoutPlan(timings), positions)
 
     # Plain-int column sums of the models whose shares went out.
     contributing = [

@@ -20,7 +20,7 @@ from swiftagg.field import (
     uniform_element,
     vec_add,
 )
-from swiftagg.sharing import build_polynomial, share_for, user_rng
+from swiftagg.sharing import SharePolynomial, build_polynomial, share_for, user_rng
 
 
 def test_build_polynomial_small_example():
@@ -54,6 +54,8 @@ def test_arity_mismatch():
         build_polynomial(f.vector([1]), [f.vector([2, 3])], 1)
     with pytest.raises(MixedFieldError):
         build_polynomial(f.vector([1]), [FieldSpec(11).vector([2])], 1)
+    with pytest.raises(ValueError, match=r"^polynomial needs at least the constant term$"):
+        SharePolynomial([])
 
 
 def test_share_matches_poly_eval_oracle():

@@ -45,6 +45,11 @@ def test_plan_validation():
         DropoutPlan.uniform([9]).validate_for(params)
     with pytest.raises(ValueError):
         DropoutPlan({3: "sometime"}).validate_for(params)
+    with pytest.raises(ValueError, match=r"^victim '3' is not a user id in \[1, 6\]$"):
+        DropoutPlan({"3": BEFORE_SHARING}).validate_for(params)  # no TypeError from <=
+    # The aggregate leaves out exactly the users silent before sharing.
+    assert DropoutPlan({1: BEFORE_SHARING, 2: AFTER_SHARING, 3: MID_SEQUENCE}).excluded == {1}
+    assert DropoutPlan.none().excluded == frozenset()
     with pytest.raises(ValueError, match="duplicate user ids"):
         DropoutPlan.uniform([3, 3])  # the dict would keep one victim
     # simulate relies on execute_protocol's check of the same plans
@@ -62,6 +67,8 @@ def test_adversary_validation():
         AdversaryConfig.of([1, 2]).validate_for(params)  # |colluders| > t
     with pytest.raises(ValueError, match=r"^colluder 7 is not a user id in \[1, 6\]$"):
         AdversaryConfig.of([7]).validate_for(params)
+    with pytest.raises(ValueError, match=r"^colluder '3' is not a user id in \[1, 6\]$"):
+        AdversaryConfig(frozenset({"3"}), True).validate_for(params)
     with pytest.raises(ValueError, match="duplicate user ids"):
         AdversaryConfig.of([2, 2])  # the set would keep one colluder
 
@@ -128,7 +135,7 @@ def test_recovery_succeeds_within_dropout_budget(timing):
     params = make_params(15, 2, 2, length=2, p=11)
     models = random_models(params, 6)
     for victims in [(), (4,), (4, 9), (1, 6)]:
-        plan = DropoutPlan.uniform(victims, timing)
+        plan = DropoutPlan(dict.fromkeys(victims, timing))
         result = run(params, models, plan=plan)
         assert result.metrics.server_msgs >= params.t + 1
         assert params.t + 1 <= result.metrics.server_msgs <= params.group_size
