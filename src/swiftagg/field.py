@@ -122,11 +122,6 @@ class ModelVector:
         self.bound = field.p - 1
 
     @classmethod
-    def _raw(cls, field: FieldSpec, values: Sequence[int]) -> "ModelVector":
-        # Fast path for internally produced, already-reduced entries.
-        return cls._packed(field, _pack(values), len(values), field.p - 1)
-
-    @classmethod
     def _packed(cls, field: FieldSpec, lanes: int, length: int, bound: int) -> "ModelVector":
         # Kernel output: lanes congruent to the entries, all at most ``bound``.
         vec = object.__new__(cls)
@@ -295,7 +290,7 @@ def sample_noise(field: FieldSpec, count: int, length: int, rng: random.Random):
             continue
         kept = [v for v in _unpack(lanes, length) if v < p]
         kept += [uniform_element(field, rng) for _ in range(length - len(kept))]
-        out.append(ModelVector._raw(field, kept))
+        out.append(ModelVector._packed(field, _pack(kept), length, p - 1))
     return tuple(out)
 
 

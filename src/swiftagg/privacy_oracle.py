@@ -21,6 +21,11 @@ p**(#honest models + N*T) assignments, the chain check p**(N*T), and the
 hiding check counts p * p**degree * sum(C(p-1, s) for s = 1..degree), one per
 secret, noise assignment and set of at most ``degree`` points; each raises
 ``TooLargeError`` above ``ENUMERATION_GUARD`` before it allocates.
+
+Negative controls: ``zero_noise`` of ``enumerate_views`` (behind ``swiftagg
+privacy --no-noise``) must break privacy.  The chain and hiding controls are
+patches in the tests: they replace ``_enumerated`` or ``build_polynomial``
+here, so the real checks must witness the dependence they plant.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ from .protocol import (
     PHASE_INTRA,
     AdversaryConfig,
     DropoutPlan,
-    GroupPosition,
     ProtocolParams,
     _quiet_params,
     assign_groups,
@@ -163,9 +167,20 @@ def _enumerated(spec: FieldSpec, slots: int, zero_noise: bool = False) -> tuple:
     )
 
 
-def _widened(params: ProtocolParams, width: int) -> ProtocolParams:
-    """``params`` with ``width``-long models, one coordinate per assignment."""
-    return _quiet_params(params.n, params.t, params.d, width, params.field)
+def _user_noise(params: ProtocolParams, zero_noise: bool = False) -> dict:
+    """Every user's ``t`` vectors from ``_enumerated``, one noise assignment per column.
+
+    Slot ``(uid, j)`` is entry ``(uid - 1) * t + j`` of every assignment.
+    """
+    t = params.t
+    columns = _enumerated(params.field, params.n * t, zero_noise)
+    return {uid: columns[(uid - 1) * t : uid * t] for uid in range(1, params.n + 1)}
+
+
+def _batched_run(params: ProtocolParams, models, noise, plan: DropoutPlan):
+    """One protocol run on ``params``' layout whose coordinates are the columns."""
+    wide = _quiet_params(params.n, params.t, params.d, len(models[0]), params.field)
+    return execute_protocol(wide, models, noise, plan, assign_groups(params))
 
 
 def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDistribution:
@@ -184,13 +199,10 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     spec = params.field
     p = spec.p
     honest = instance.honest
-    positions = assign_groups(params)
     plan = instance.plan
 
-    columns = _enumerated(spec, instance.noise_symbol_count, zero_noise)
-    width = len(columns[0])
-    # Slot (uid, j) is entry (uid - 1) * T + j of every noise assignment.
-    noise = {uid: columns[(uid - 1) * params.t : uid * params.t] for uid in range(1, params.n + 1)}
+    noise = _user_noise(params, zero_noise)
+    width = len(noise[1][0])
     singles = [(v,) for v in range(p)]
 
     contributing = [uid for uid in honest if uid not in plan.excluded]
@@ -218,7 +230,7 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
         }
         held.update(zip(honest, zip(*chunk)))
         models = [_stretch(spec, held[u], width) for u in sorted(held)]
-        run = execute_protocol(_widened(params, total), models, wide_noise, plan, positions)
+        run = _batched_run(params, models, wide_noise, plan)
         view = collect_adversary_view(run.log, instance.adversary, models, wide_noise)
         received = _payload_columns(view.received, total, singles)
         uploads = _payload_columns(view.uploads, total, singles)
@@ -288,9 +300,7 @@ def check_conditional_independence(dist: ViewDistribution) -> CheckResult:
     )
 
 
-def check_noise_chain_independence(
-    instance: TinyInstance, copy_previous_group_noise: bool = False
-) -> CheckResult:
+def check_noise_chain_independence(instance: TinyInstance) -> CheckResult:
     """Factorization check of consecutive sequence-noise pairs.
 
     ``ztilde(gamma, t)``, the noise sequence t has accumulated by group
@@ -302,9 +312,7 @@ def check_noise_chain_independence(
     For each sequence index t and each group boundary, the joint counts of
     ``(ztilde(gamma, t), ztilde(gamma+1, t))`` over all noise assignments must
     factor exactly into the product of their marginals.  A single-group
-    instance passes vacuously.  ``copy_previous_group_noise`` is a negative
-    control: it reuses group 1's noise in every later group, which makes the
-    chain perfectly dependent and must be witnessed.
+    instance passes vacuously.
     """
     params = instance.params
     spec = params.field
@@ -316,30 +324,13 @@ def check_noise_chain_independence(
         )
     _check_size(spec.p ** instance.noise_symbol_count)
 
-    positions = assign_groups(params)
-    by_position = {pos: uid for uid, pos in positions.items()}
-
-    if copy_previous_group_noise:
-        free_users = [by_position[GroupPosition(1, t)] for t in range(1, nu + 1)]
-    else:
-        free_users = list(range(1, params.n + 1))
-    columns = _enumerated(spec, len(free_users) * params.t)
-    total = len(columns[0])
-    noise = {
-        uid: columns[i * params.t : (i + 1) * params.t]
-        for i, uid in enumerate(free_users)
-    }
-    if copy_previous_group_noise:
-        for uid, pos in positions.items():
-            if pos.gamma > 1:
-                noise[uid] = noise[by_position[GroupPosition(1, pos.t)]]
+    noise = _user_noise(params)
+    total = len(noise[1][0])
     zero = spec.zeros(total)
     for uid in instance.plan.excluded:
         noise[uid] = (zero,) * params.t
 
-    run = execute_protocol(
-        _widened(params, total), [zero] * params.n, noise, DropoutPlan.none(), positions
-    )
+    run = _batched_run(params, [zero] * params.n, noise, DropoutPlan.none())
     ztilde = {
         (m.sender.gamma, m.sender.t): m.payload.values
         for m in run.log

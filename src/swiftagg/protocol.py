@@ -37,6 +37,7 @@ import hashlib
 import random
 import warnings
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import IndivisibleNError, TooManyDropoutsError
@@ -149,7 +150,7 @@ def assign_groups(params: ProtocolParams, shuffle_seed: Optional[int] = None):
 
 
 def _distinct_ids(ids) -> list:
-    ids = [int(i) for i in ids]
+    ids = list(ids)
     if len(set(ids)) != len(ids):  # a dict or set would keep one copy silently
         raise ValueError("duplicate user ids")
     return ids
@@ -158,11 +159,7 @@ def _distinct_ids(ids) -> list:
 def _check_ids(ids, n: int, role: str, bound: str, cap: int) -> None:
     """Every id a user in ``[1, n]``, and at most ``cap`` of them."""
     for uid in ids:
-        try:
-            inside = 1 <= uid <= n
-        except TypeError:  # an id that is no number, such as the string "3"
-            inside = False
-        if not inside:
+        if not (isinstance(uid, int) and 1 <= uid <= n):
             raise ValueError(f"{role} {uid!r} is not a user id in [1, {n}]")
     if len(ids) > cap:
         raise ValueError(f"{len(ids)} {role}s exceed the {bound}={cap}")
@@ -170,9 +167,22 @@ def _check_ids(ids, n: int, role: str, bound: str, cap: int) -> None:
 
 @dataclass(frozen=True)
 class DropoutPlan:
-    """Which users go silent and when; at most ``d`` victims per run."""
+    """Which users go silent and when; at most ``d`` victims per run.
+
+    ``timings`` is a read-only copy of the mapping given, so a plan is a
+    value: later changes to the caller's dict leave it as it is.
+    """
 
     timings: Mapping[int, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "timings", MappingProxyType(dict(self.timings)))
+
+    def __hash__(self):
+        return hash(frozenset(self.timings.items()))
+
+    def __reduce__(self):  # a mappingproxy does not pickle; its copy does
+        return (DropoutPlan, (dict(self.timings),))
 
     @classmethod
     def none(cls) -> "DropoutPlan":
@@ -310,9 +320,6 @@ class ServerState:
     def __init__(self):
         self.uploads: dict[int, ModelVector] = {}
 
-    def receive(self, msg: Message) -> None:
-        self.uploads[msg.t] = msg.payload
-
     def recover(self, params: ProtocolParams) -> ModelVector:
         if len(self.uploads) < params.t + 1:
             raise TooManyDropoutsError(
@@ -387,15 +394,14 @@ def execute_protocol(
     shares: dict[int, list] = {uid: [] for uid in range(1, params.n + 1)}
     for uid in range(1, params.n + 1):
         pos = positions[uid]
-        if uid in excluded:
-            for t2, _, peer_pos in members[pos.gamma]:
-                if t2 != pos.t:
-                    log.append(Message(PHASE_INTRA, pos, peer_pos, t2, None))
-            continue
-        poly = build_polynomial(models[uid - 1], noise[uid], params.t)
+        poly = None
+        if uid not in excluded:
+            poly = build_polynomial(models[uid - 1], noise[uid], params.t)
         for t2, peer_uid, peer_pos in members[pos.gamma]:
-            payload = share_for(poly, t2)
-            shares[peer_uid].append(payload)
+            payload = None
+            if poly is not None:
+                payload = share_for(poly, t2)
+                shares[peer_uid].append(payload)
             if t2 != pos.t:
                 log.append(Message(PHASE_INTRA, pos, peer_pos, t2, payload))
 
@@ -417,10 +423,9 @@ def execute_protocol(
             else:
                 q = vec_sum(shares[uid])
                 partial[t] = q if gamma == 1 else vec_add(partial[t], q)
-            msg = Message(phase, pos, next_pos, t, partial[t])
-            log.append(msg)
-            if last and msg.payload is not None:
-                server.receive(msg)
+            log.append(Message(phase, pos, next_pos, t, partial[t]))
+            if last and partial[t] is not None:
+                server.uploads[t] = partial[t]
 
     return ProtocolRun(server.recover(params), log)
 
@@ -449,8 +454,7 @@ def execute_seeded(
 def run_protocol(params: ProtocolParams, models: Sequence[ModelVector], dropouts, seed: int):
     """Sample noise from ``seed`` and run; dropouts stay silent from the start.
 
-    Returns ``(recovered, log)`` where the recovered vector equals the exact
-    field sum of the non-dropped users' models.
+    Returns the ``ProtocolRun``, which unpacks as ``(recovered, log)``; the
+    recovered vector equals the exact field sum of the non-dropped users' models.
     """
-    run, _ = execute_seeded(params, models, DropoutPlan.uniform(dropouts), seed)
-    return run.recovered, run.log
+    return execute_seeded(params, models, DropoutPlan.uniform(dropouts), seed)[0]

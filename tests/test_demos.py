@@ -18,3 +18,7 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    if demo.name == "privacy_audit.py":
+        # Both negative controls must still bite: the zero-noise run and the
+        # chain check under the demo's patch of the oracle's noise enumeration.
+        assert proc.stdout.count('"verdict": "dependent"') == 2, proc.stdout

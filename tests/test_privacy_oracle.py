@@ -7,7 +7,7 @@ import pytest
 
 from swiftagg import privacy_oracle
 from swiftagg.errors import TooLargeError
-from swiftagg.field import FieldSpec, ModelVector
+from swiftagg.field import FieldSpec
 from swiftagg.privacy_oracle import (
     TinyInstance,
     check_conditional_independence,
@@ -27,6 +27,9 @@ from swiftagg.protocol import (
 from swiftagg.simnet import AdversaryConfig, DropoutPlan, collect_adversary_view
 
 from helpers import make_params
+
+# The real noise enumeration, read once: a later patch must not wrap an earlier one.
+REAL_ENUMERATED = privacy_oracle._enumerated
 
 
 def tiny(n, t, d, p, adversary, plan=None, label=""):
@@ -123,7 +126,7 @@ def reference_views(instance, zero_noise=False):
     """One scalar protocol run per (honest models, noise) assignment."""
     params, p, honest = instance.params, instance.params.field.p, instance.honest
     positions = assign_groups(params)
-    vec = [ModelVector._raw(params.field, (v,)) for v in range(p)]
+    vec = [params.field.vector((v,)) for v in range(p)]
     slots = instance.noise_symbol_count
     noise_assignments = (
         [(0,) * slots] if zero_noise else list(itertools.product(range(p), repeat=slots))
@@ -343,9 +346,31 @@ def test_noise_chain_vacuous_for_single_group():
     assert "vacuous" in result.detail
 
 
-def test_noise_chain_detects_copied_noise():
+def plant_noise(monkeypatch, free, source_of):
+    """Patch the oracle's ``_enumerated`` to enumerate only ``free`` slots.
+
+    Noise slot ``i`` (user ``i // t + 1`` on the contiguous layout) reuses
+    enumerated slot ``source_of(i)``, or is zero where that is None.
+    """
+
+    def planted(spec, slots, zero_noise=False):
+        own = REAL_ENUMERATED(spec, free, zero_noise)
+        zero = spec.zeros(len(own[0]))
+        return tuple(zero if source_of(i) is None else own[source_of(i)] for i in range(slots))
+
+    monkeypatch.setattr(privacy_oracle, "_enumerated", planted)
+
+
+def copy_first_group_noise(monkeypatch, params):
+    """Every later group reuses group 1's noise slots."""
+    first = params.group_size * params.t
+    plant_noise(monkeypatch, first, lambda i: i % first)
+
+
+def test_noise_chain_detects_copied_noise(monkeypatch):
     instance = tiny(4, 1, 0, 3, AdversaryConfig.server_only())
-    result = check_noise_chain_independence(instance, copy_previous_group_noise=True)
+    copy_first_group_noise(monkeypatch, instance.params)
+    result = check_noise_chain_independence(instance)
     assert not result.independent
     assert result.witness["joint_count"] * result.witness["total"] != (
         result.witness["row_count"] * result.witness["col_count"]
@@ -359,8 +384,22 @@ def test_noise_chain_detects_copied_noise():
         6, 1, 1, 5, AdversaryConfig.server_only(),
         plan=DropoutPlan({4: AFTER_SHARING}),
     )
-    witness = check_noise_chain_independence(victim, copy_previous_group_noise=True).witness
+    copy_first_group_noise(monkeypatch, victim.params)
+    witness = check_noise_chain_independence(victim).witness
     assert (witness["joint_count"], witness["total"]) == (25, 125)
+
+
+def test_noise_chain_checks_every_boundary(monkeypatch):
+    # Zero noise in group 3 of three: ztilde(3, t) = ztilde(2, t), so only the
+    # second boundary is dependent.  (Copying group 2's noise into group 3
+    # would not do: (Z1 + Z2, Z1 + 2 Z2) is an invertible map of uniform noise.)
+    instance = tiny(6, 1, 0, 3, AdversaryConfig.server_only())
+    plant_noise(monkeypatch, 4, lambda i: i if i < 4 else None)
+    result = check_noise_chain_independence(instance)
+    assert result.witness == {
+        "gamma": 2, "t": 1, "pair": [0, 0],
+        "joint_count": 27, "row_count": 27, "col_count": 27, "total": 81,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +449,27 @@ def test_share_hiding_check_witnesses_unmasked_shares(monkeypatch):
         "secret_b": 1,
         "shares": [0],
         "count_a": 25,
+        "count_b": 0,
+    }
+
+
+def test_share_hiding_check_covers_every_secret(monkeypatch):
+    # Only the last secret, p - 1, goes unmasked, so the check must reach it.
+    real = privacy_oracle.build_polynomial
+
+    def unmasked_last(model, noise, collusion_bound):
+        if model.values[0] == model.field.p - 1:
+            noise = [model.field.zeros(len(model))] * collusion_bound
+        return real(model, noise, collusion_bound)
+
+    monkeypatch.setattr(privacy_oracle, "build_polynomial", unmasked_last)
+    result = check_share_hiding(FieldSpec(5), 2)
+    assert result.witness == {
+        "points": [1],
+        "secret_a": 0,
+        "secret_b": 4,
+        "shares": [0],
+        "count_a": 5,
         "count_b": 0,
     }
 

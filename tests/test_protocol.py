@@ -136,8 +136,7 @@ def test_assign_groups_shuffle_is_seeded_bijection():
 def test_server_needs_enough_uploads():
     params = make_params(4, 2, 1)
     server = ServerState()
-    server.receive(Message(PHASE_UPLOAD, GroupPosition(1, 1), None, 1, F101.vector([1])))
-    server.receive(Message(PHASE_UPLOAD, GroupPosition(1, 2), None, 2, F101.vector([2])))
+    server.uploads.update({1: F101.vector([1]), 2: F101.vector([2])})
     with pytest.raises(TooManyDropoutsError):
         server.recover(params)
 

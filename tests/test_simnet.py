@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -47,6 +48,17 @@ def test_plan_validation():
         DropoutPlan({3: "sometime"}).validate_for(params)
     with pytest.raises(ValueError, match=r"^victim '3' is not a user id in \[1, 6\]$"):
         DropoutPlan({"3": BEFORE_SHARING}).validate_for(params)  # no TypeError from <=
+    with pytest.raises(ValueError, match=r"^victim 3\.7 is not a user id in \[1, 6\]$"):
+        DropoutPlan.uniform([3.7]).validate_for(params)  # not truncated to user 3
+    with pytest.raises(ValueError, match=r"^victim '3' is not a user id in \[1, 6\]$"):
+        DropoutPlan.uniform(["3"]).validate_for(params)
+    # A plan is a value: it copies the caller's dict and hashes by its items.
+    timings = {3: BEFORE_SHARING}
+    plan = DropoutPlan(timings)
+    timings[4] = MID_SEQUENCE
+    assert plan.timings == {3: BEFORE_SHARING}
+    assert hash(DropoutPlan.none()) == hash(DropoutPlan({}))
+    assert pickle.loads(pickle.dumps(plan)) == plan
     # The aggregate leaves out exactly the users silent before sharing.
     assert DropoutPlan({1: BEFORE_SHARING, 2: AFTER_SHARING, 3: MID_SEQUENCE}).excluded == {1}
     assert DropoutPlan.none().excluded == frozenset()
@@ -69,6 +81,8 @@ def test_adversary_validation():
         AdversaryConfig.of([7]).validate_for(params)
     with pytest.raises(ValueError, match=r"^colluder '3' is not a user id in \[1, 6\]$"):
         AdversaryConfig(frozenset({"3"}), True).validate_for(params)
+    with pytest.raises(ValueError, match=r"^colluder 2\.9 is not a user id in \[1, 6\]$"):
+        AdversaryConfig.of([2.9]).validate_for(params)  # not truncated to user 2
     with pytest.raises(ValueError, match="duplicate user ids"):
         AdversaryConfig.of([2, 2])  # the set would keep one colluder
 
