@@ -311,6 +311,34 @@ def _stretch(field: FieldSpec, values: Sequence[int], copies: int) -> ModelVecto
     return ModelVector._packed(field, int.from_bytes(raw, "little"), len(raw) // 8, field.p - 1)
 
 
+def _columns(field: FieldSpec, vectors: Sequence[ModelVector], length: int) -> tuple:
+    """One int key per coordinate of ``length``-entry vectors over ``field``.
+
+    With ``bits = (p - 1).bit_length()`` and ``per = 64 // bits``, entry
+    ``k`` of vector ``m`` fills ``bits`` bits from bit ``bits * (m % per)``
+    of word ``m // per`` of key ``k``, and the words combine as
+    ``w0 | w1 << 64 | ...``.  Each word is its vectors' canonical lanes
+    shifted and added (entries below ``2**bits`` never carry into the next
+    lane), unpacked once.  ``_column_entries`` reads a key back.
+    """
+    bits = (field.p - 1).bit_length()
+    per = 64 // bits
+    keys = (0,) * length
+    for word, start in enumerate(range(0, len(vectors), per)):
+        block = enumerate(vectors[start : start + per])
+        lanes = _unpack(sum(v._canonical() << bits * i for i, v in block), length)
+        keys = tuple(k | x << 64 * word for k, x in zip(keys, lanes)) if word else lanes
+    return keys
+
+
+def _column_entries(key: int, p: int, slots: int) -> tuple:
+    """The ``slots`` entries that ``_columns`` packed into ``key``, in vector order."""
+    bits = (p - 1).bit_length()
+    per = 64 // bits
+    mask = (1 << bits) - 1
+    return tuple(key >> 64 * (m // per) + bits * (m % per) & mask for m in range(slots))
+
+
 def _coherent(vectors: Sequence[ModelVector]) -> None:
     """Raise unless every vector has the first one's field and length."""
     p = vectors[0].field.p

@@ -37,7 +37,7 @@ from math import comb
 from typing import Mapping, Optional
 
 from .errors import TooLargeError
-from .field import FieldSpec, _join, _stretch
+from .field import FieldSpec, _column_entries, _columns, _join, _stretch
 from .protocol import (
     PHASE_INTRA,
     AdversaryConfig,
@@ -50,8 +50,8 @@ from .protocol import (
 from .sharing import build_polynomial, share_for
 from .simnet import collect_adversary_view
 
-# A view enumeration holds about 75 bytes per assignment at its peak, so the
-# guard keeps one under about 0.7 GiB.
+# tracemalloc reads at most 210 bytes per assignment at a view enumeration's
+# peak on the canned instances, so the guard keeps one under 2 GiB.
 ENUMERATION_GUARD = 10**7
 
 # Most columns one view-enumeration run carries; a run takes at least one assignment.
@@ -117,15 +117,38 @@ class TinyInstance:
 class ViewDistribution:
     """Exact view counts per honest-model assignment, keyed for conditioning.
 
-    ``views[w]`` counts canonical views over all noise assignments for the
+    ``views[w]`` counts views over all noise assignments for the
     honest-model assignment ``w`` (a tuple aligned with ``instance.honest``);
     ``aggregate_of[w]`` is the sum of the honest users whose shares entered
     the run, i.e. the quantity the privacy statement conditions on.
+
+    Each view is counted by one int key from ``field._columns``: the
+    colluders' noise (ascending id), then the non-null received payloads and
+    uploads.  The colluders' models and the null slots (``received_nulls``,
+    ``upload_nulls``) are fixed by the instance and its plan, so
+    ``canonical(key)`` decodes a key to ``AdversaryView.canonical()`` form.
     """
 
     instance: TinyInstance
     views: dict = dc_field(default_factory=dict)
     aggregate_of: dict = dc_field(default_factory=dict)
+    received_nulls: tuple = ()
+    upload_nulls: tuple = ()
+
+    def canonical(self, key: int) -> tuple:
+        """The ``AdversaryView.canonical()`` tuple of the view counted as ``key``."""
+        instance = self.instance
+        t = instance.params.t
+        colluders = sorted(instance.adversary.colluders)
+        slots = len(colluders) * t + (self.received_nulls + self.upload_nulls).count(False)
+        symbols = iter(_column_entries(key, instance.params.field.p, slots))
+        own = tuple(
+            (uid, (instance.fixed_model_of(uid),), tuple((next(symbols),) for _ in range(t)))
+            for uid in colluders
+        )
+        got = tuple(None if null else (next(symbols),) for null in self.received_nulls)
+        ups = tuple(None if null else (next(symbols),) for null in self.upload_nulls)
+        return (own, got, ups)
 
 
 @dataclass(frozen=True)
@@ -189,10 +212,11 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
     One protocol run covers a chunk of up to ``RUN_COLUMNS // p**(N*T)``
     honest-model assignments: block ``j`` of its columns holds every noise
     assignment of the ``N*T`` slots from ``_enumerated`` with the ``j``-th
-    assignment's constant models, so each column is exactly the canonical
-    view of a scalar run.  ``zero_noise`` keeps only the all-zero
-    assignment; it exists as a negative control and must break privacy for
-    any adversary that sees unaggregated material.
+    assignment's constant models, so each column is exactly the view of a
+    scalar run, counted by its key (see ``ViewDistribution``).
+    ``zero_noise`` keeps only the all-zero assignment; it exists as a
+    negative control and must break privacy for any adversary that sees
+    unaggregated material.
     """
     _check_size(instance.enumeration_size)
     params = instance.params
@@ -203,26 +227,12 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
 
     noise = _user_noise(params, zero_noise)
     width = len(noise[1][0])
-    singles = [(v,) for v in range(p)]
-
     contributing = [uid for uid in honest if uid not in plan.excluded]
     honest_index = {uid: i for i, uid in enumerate(honest)}
-
-    # Colluder models and noise do not depend on the honest models, so the
-    # colluder-inputs part of every column's key is built once.
-    own_parts = [
-        [
-            (uid, singles[instance.fixed_model_of(uid)], zs)
-            for zs in zip(*(map(singles.__getitem__, z.values) for z in noise[uid]))
-        ]
-        for uid in sorted(instance.adversary.colluders)
-    ]
-    own = list(zip(*own_parts)) if own_parts else [()] * width
 
     dist = ViewDistribution(instance)
     assignments = itertools.product(range(p), repeat=len(honest))
     while chunk := list(itertools.islice(assignments, max(1, RUN_COLUMNS // width))):
-        total = len(chunk) * width
         # Block j of the columns is chunk[j]'s run: noise repeats, models are constant.
         wide_noise = {uid: tuple(_join([z], len(chunk)) for z in zs) for uid, zs in noise.items()}
         held = {
@@ -232,32 +242,23 @@ def enumerate_views(instance: TinyInstance, zero_noise: bool = False) -> ViewDis
         models = [_stretch(spec, held[u], width) for u in sorted(held)]
         run = _batched_run(params, models, wide_noise, plan)
         view = collect_adversary_view(run.log, instance.adversary, models, wide_noise)
-        received = _payload_columns(view.received, total, singles)
-        uploads = _payload_columns(view.uploads, total, singles)
-        for w in chunk:
-            # ``own`` is one block long, so each Counter takes its own columns.
-            dist.views[w] = Counter(zip(own, received, uploads))
+        # Colluder models and null slots are fixed, so a key packs only what varies.
+        dist.received_nulls = tuple(m.payload is None for m in view.received)
+        dist.upload_nulls = tuple(m.payload is None for m in view.uploads)
+        slots = [z for _, _, zs in view.colluder_inputs for z in zs]
+        slots += [m.payload for m in view.received + view.uploads if m.payload is not None]
+        keys = _columns(spec, slots, len(chunk) * width)
+        for j, w in enumerate(chunk):
+            dist.views[w] = Counter(keys[j * width : (j + 1) * width])
             dist.aggregate_of[w] = sum(w[honest_index[uid]] for uid in contributing) % p
     return dist
-
-
-def _payload_columns(messages, width: int, singles: list):
-    """Per-coordinate payload tuples, as ``AdversaryView.canonical`` forms them."""
-    if not messages:
-        return itertools.repeat((), width)
-    return zip(*(
-        itertools.repeat(None, width)
-        if m.payload is None
-        else map(singles.__getitem__, m.payload.values)
-        for m in messages
-    ))
 
 
 def _first_difference(a: Counter, b: Counter):
     """The first key, in first-seen order, counted differently in ``a`` and ``b``.
 
-    Set order would depend on hashes, and ``hash(None)`` differs between
-    processes on Python < 3.12, so a witness would too.
+    Set order would follow the keys' hashes rather than the columns, and the
+    CLI goldens pin the witness this order gives.
     """
     return next(k for k in itertools.chain(a, b) if a[k] != b[k])
 
@@ -287,7 +288,7 @@ def check_conditional_independence(dist: ViewDistribution) -> CheckResult:
                 "aggregate": aggregate,
                 "assignment_a": list(members[0]),
                 "assignment_b": list(w),
-                "view": repr(view_key),
+                "view": repr(dist.canonical(view_key)),
                 "count_a": reference[view_key],
                 "count_b": candidate[view_key],
             }

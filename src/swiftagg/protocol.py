@@ -37,6 +37,7 @@ import hashlib
 import random
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -157,9 +158,9 @@ def _distinct_ids(ids) -> list:
 
 
 def _check_ids(ids, n: int, role: str, bound: str, cap: int) -> None:
-    """Every id a user in ``[1, n]``, and at most ``cap`` of them."""
+    """Every id an ``Integral`` other than ``bool`` in ``[1, n]``, and at most ``cap``."""
     for uid in ids:
-        if not (isinstance(uid, int) and 1 <= uid <= n):
+        if isinstance(uid, bool) or not (isinstance(uid, Integral) and 1 <= uid <= n):
             raise ValueError(f"{role} {uid!r} is not a user id in [1, {n}]")
     if len(ids) > cap:
         raise ValueError(f"{len(ids)} {role}s exceed the {bound}={cap}")

@@ -10,6 +10,7 @@ as they are.
 """
 
 import ast
+import itertools
 import os
 import random
 import re
@@ -26,6 +27,8 @@ from swiftagg.field import (
     FieldSpec,
     ModelVector,
     _barrett,
+    _column_entries,
+    _columns,
     _pack,
     _reduce,
     _unpack,
@@ -434,3 +437,54 @@ def test_protocol_run_never_unpacks_until_the_result_is_read(monkeypatch, p):
     values = run.recovered.values
     assert calls == [length]
     assert values == ref_sum(rows, p)
+
+
+# ---------------------------------------------------------------------------
+# Integer keys of vector columns
+# ---------------------------------------------------------------------------
+
+KEY_PRIMES = [2, 3, 5, 7]
+
+
+def key_columns(p, slots, rng):
+    """Coordinate tuples of ``slots`` entries: all of them if few, else edges plus a sample.
+
+    The edges put ``p - 1`` in each slot alone, so every bit field of every
+    word, the first field past a word boundary too, is read on its own.
+    """
+    if p**slots <= 256:
+        return list(itertools.product(range(p), repeat=slots))
+    edges = [(0,) * slots, (p - 1,) * slots]
+    edges += [tuple(p - 1 if i == k else 0 for i in range(slots)) for k in range(slots)]
+    sample = {tuple(rng.randrange(p) for _ in range(slots)) for _ in range(200)}
+    return edges + sorted(sample - set(edges))
+
+
+@pytest.mark.parametrize("p", KEY_PRIMES)
+def test_column_keys_decode_to_their_entries(p):
+    f = FieldSpec(p)
+    rng = random.Random(p)
+    per = 64 // (p - 1).bit_length()
+    # No vectors, one word filled, and one word plus a symbol of the next.
+    for slots in (0, 1, per, per + 1):
+        columns = key_columns(p, slots, rng)
+        vectors = [f.vector(row) for row in zip(*columns)]
+        keys = _columns(f, vectors, len(columns))
+        assert all(type(key) is int for key in keys), slots
+        assert [_column_entries(key, p, slots) for key in keys] == columns, slots
+        assert len(set(keys)) == len(columns), slots  # distinct tuples, distinct keys
+    assert _columns(f, [], 3) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("p", KEY_PRIMES)
+def test_column_keys_of_unreduced_shares_follow_the_entries(p):
+    f = FieldSpec(p)
+    rng = random.Random(p)
+    slots = 64 // (p - 1).bit_length() + 1
+    polys = [[[rng.randrange(p) for _ in range(20)] for _ in range(3)] for _ in range(slots)]
+    shares = [evaluated(f, rows, p - 1) for rows in polys]
+    assert all(share.bound >= p for share in shares)  # Horner outputs, left unreduced
+    keys = _columns(f, shares, 20)
+    entries = [ref_eval(rows, p - 1, p) for rows in polys]
+    assert keys == _columns(f, [f.vector(e) for e in entries], 20)
+    assert [_column_entries(key, p, slots) for key in keys] == list(zip(*entries))

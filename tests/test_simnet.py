@@ -87,6 +87,31 @@ def test_adversary_validation():
         AdversaryConfig.of([2, 2])  # the set would keep one colluder
 
 
+def test_bool_ids_are_not_users():
+    # True == 1, so a bool id would stand for user 1.
+    params = make_params(6, 1, 1, p=11)
+    with pytest.raises(ValueError, match=r"^victim True is not a user id in \[1, 6\]$"):
+        DropoutPlan.uniform([True]).validate_for(params)
+    with pytest.raises(ValueError, match=r"^colluder True is not a user id in \[1, 6\]$"):
+        AdversaryConfig.of([True]).validate_for(params)
+
+
+def test_numpy_integer_ids_are_users():
+    np = pytest.importorskip("numpy")
+    params = make_params(6, 1, 1, p=11)
+    plan = DropoutPlan.uniform(np.array([3]))
+    plan.validate_for(params)
+    assert plan.excluded == {3}
+    adversary = AdversaryConfig.of([np.int64(2)])
+    adversary.validate_for(params)
+    assert adversary.colluders == frozenset({2})
+    # NumPy's reprs differ between major versions; the message ends alike.
+    with pytest.raises(ValueError, match=r"is not a user id in \[1, 6\]$"):
+        DropoutPlan.uniform(np.array([9])).validate_for(params)
+    with pytest.raises(ValueError, match=r"is not a user id in \[1, 6\]$"):
+        DropoutPlan.uniform(np.array([True])).validate_for(params)  # np.bool_ is no Integral
+
+
 # ---------------------------------------------------------------------------
 # Load accounting
 # ---------------------------------------------------------------------------
