@@ -28,10 +28,10 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError, IndivisibleNError, SwiftAggError, TooLargeError
 from .field import MAX_MODULUS, FieldSpec, is_prime, sample_noise
-from .protocol import DropoutPlan, ProtocolParams
+from .protocol import DropoutPlan, ProtocolParams, execute_seeded
 from .privacy_oracle import run_privacy_suite
 from .sharing import derive_subseed
-from .simnet import AdversaryConfig, simulate, table1_analytic
+from .simnet import count_loads, table1_analytic
 
 RESULT_FIELDS = ("recovered_ok", "r_user", "r_uplink_actual", "r_uplink_required", "elapsed")
 
@@ -78,10 +78,6 @@ RUN_KEYS = {
     "drop_rate": RunKey(
         _rate, "a number", "", "sample victims uniformly without replacement, capped at d"
     ),
-    "adversary": RunKey(_ids, "comma-separated ids", "", "colluding user ids"),
-    "server_curious": RunKey(
-        _boolean, "a boolean", "false", "include server uploads in the adversary view"
-    ),
     "reps": RunKey(int, "an integer", "1", "number of repetitions"),
     "format": RunKey(_out_format, "json or csv", "json", "output format"),
     "shuffle_groups": RunKey(
@@ -89,7 +85,6 @@ RUN_KEYS = {
         "seeded random group assignment instead of the contiguous layout",
     ),
 }
-CONFIG_KEYS = frozenset(RUN_KEYS)
 # Most share entries, n * (t+d+1) * model_len, one run may hold: at this size
 # a run peaks near 420 MiB and takes about 3 s (n = 32, t = 2, d = 1, on a
 # 2-vCPU host with Python 3.11).
@@ -112,9 +107,8 @@ def _read(key: str, text: str):
 class RunConfig:
     params: ProtocolParams
     seed: int
-    drop: tuple
+    plan: DropoutPlan
     drop_rate: Optional[float]
-    adversary: AdversaryConfig
     reps: int
     out_format: str
     shuffle_groups: bool
@@ -133,7 +127,7 @@ def _parse_config_file(path: str) -> dict:
                     raise ConfigError(f"config: line {lineno} is not key=value: {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in CONFIG_KEYS:
+                if key not in RUN_KEYS:
                     raise ConfigError(f"config: line {lineno}: unknown key {key!r}")
                 if key in first_line:
                     raise ConfigError(
@@ -165,7 +159,7 @@ def build_run_config(args) -> RunConfig:
     values = {}
     for key, row in RUN_KEYS.items():
         flag = getattr(args, key)
-        if isinstance(flag, list):  # the tokens after --drop or --adversary
+        if isinstance(flag, list):  # the tokens after --drop
             flag = ",".join(flag)
         # str() turns the bool of a --x/--no-x flag into text too.
         text = file_values.get(key, row.default) if flag is None else str(flag)
@@ -173,9 +167,7 @@ def build_run_config(args) -> RunConfig:
             raise ConfigError(f"{key}: required (flag --{key} or config file)")
         values[key] = _read(key, text)
     n, t, d, model_len = values["n"], values["t"], values["d"], values["model_len"]
-    drop, drop_rate, colluders, reps = (
-        values["drop"], values["drop_rate"], values["adversary"], values["reps"]
-    )
+    drop, drop_rate, reps = values["drop"], values["drop_rate"], values["reps"]
 
     if reps < 1:
         raise ConfigError(f"reps: must be >= 1, got {reps}")
@@ -196,29 +188,25 @@ def build_run_config(args) -> RunConfig:
         )
     plan = _checked("drop: ", DropoutPlan.uniform, drop)
     _checked("drop: ", plan.validate_for, params)
-    adversary = _checked("adversary: ", AdversaryConfig.of, colluders, values["server_curious"])
-    _checked("adversary: ", adversary.validate_for, params)
 
     return RunConfig(
         params=params,
         seed=values["seed"],
-        drop=drop,
+        plan=plan,
         drop_rate=drop_rate,
-        adversary=adversary,
         reps=reps,
         out_format=values["format"],
         shuffle_groups=values["shuffle_groups"],
     )
 
 
-def _sample_victims(config: RunConfig, rng: random.Random) -> tuple:
-    if config.drop:
-        return config.drop
+def _plan_for(config: RunConfig, rng: random.Random) -> DropoutPlan:
+    """The configured plan, or with ``drop_rate`` set, victims sampled from ``rng``."""
     if config.drop_rate is None:
-        return ()
+        return config.plan
     n = config.params.n
     count = min(config.params.d, round(config.drop_rate * n))
-    return tuple(sorted(rng.sample(range(1, n + 1), count)))
+    return DropoutPlan.uniform(sorted(rng.sample(range(1, n + 1), count)))
 
 
 def run_experiments(config: RunConfig) -> int:
@@ -234,18 +222,12 @@ def run_experiments(config: RunConfig) -> int:
     for rep in range(config.reps):
         rep_rng = random.Random(derive_subseed(config.seed, f"rep-{rep}"))
         models = list(sample_noise(params.field, params.n, params.model_len, rep_rng))
-        victims = _sample_victims(config, rep_rng)
-        plan = DropoutPlan.uniform(victims)
+        plan = _plan_for(config, rep_rng)
 
         start = time.perf_counter()
-        result = simulate(
-            params,
-            models,
-            plan,
-            config.adversary,
-            seed=derive_subseed(config.seed, f"noise-{rep}"),
-            group_shuffle=config.shuffle_groups,
-        )
+        seed = derive_subseed(config.seed, f"noise-{rep}")
+        run, _ = execute_seeded(params, models, plan, seed, config.shuffle_groups)
+        metrics = count_loads(run.log, params)
         elapsed = time.perf_counter() - start
 
         # Plain-int column sums, independent of the vector engine under test,
@@ -256,13 +238,13 @@ def run_experiments(config: RunConfig) -> int:
             if uid not in plan.excluded:
                 sums = list(map(operator.add, sums, m.values))
         expected = tuple(s % p for s in sums)
-        ok = result.recovered.field == params.field and result.recovered.values == expected
+        ok = run.recovered.field == params.field and run.recovered.values == expected
         all_ok = all_ok and ok
 
         record = {
             "recovered_ok": ok,
-            "r_user": result.metrics.user_to_user_msgs,
-            "r_uplink_actual": result.metrics.server_msgs,
+            "r_user": metrics.user_to_user_msgs,
+            "r_uplink_actual": metrics.server_msgs,
             "r_uplink_required": params.t + 1,
             "elapsed": round(elapsed, 6),
         }
@@ -319,17 +301,17 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _reject_dash_led_ids(argv: Sequence[str], leftover: Sequence[str]) -> None:
-    """Name the list flag behind a value argparse took for an option, e.g. ``-1,0``."""
-    flags = ["--" + key.replace("_", "-") for key in RUN_KEYS]
-    key = None
+    """Name ``drop`` behind a value argparse took for an option, e.g. ``-1,0``.
+
+    Only ``--drop`` itself opens the list: argparse rejects each shorter
+    prefix as ambiguous with ``--drop-rate`` before any leftover is seen.
+    """
+    in_drop = False
     for token in argv:
         if token.startswith("--"):
-            # As argparse resolves it: the exact flag, else the one flag it begins.
-            head = token.split("=", 1)[0]
-            named = [f for f in flags if f == head] or [f for f in flags if f.startswith(head)]
-            key = named[0][2:] if len(named) == 1 else None
-        elif token.startswith("-") and token in leftover and key in ("drop", "adversary"):
-            raise _bad_value(key, token)  # no user id starts with a dash
+            in_drop = token.split("=", 1)[0] == "--drop"
+        elif token.startswith("-") and token in leftover and in_drop:
+            raise _bad_value("drop", token)  # no user id starts with a dash
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="simulate protocol repetitions")
+    run_parser = sub.add_parser("run", help="execute protocol repetitions")
     _add_run_flags(run_parser)
 
     privacy_parser = sub.add_parser("privacy", help="exhaustive tiny-instance privacy checks")

@@ -20,6 +20,8 @@ from __future__ import annotations
 import random
 import struct
 from functools import lru_cache
+from numbers import Integral
+from operator import index
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -38,6 +40,11 @@ MAX_MODULUS = 1 << 32
 # Miller-Rabin with these bases is exact for every n < 4,759,123,141, which
 # covers every modulus below MAX_MODULUS.
 _MR_BASES = (2, 7, 61)
+
+
+def is_integer(value) -> bool:
+    """The package's one integer rule: an ``Integral`` other than ``bool``."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def is_prime(n: int) -> bool:
@@ -64,23 +71,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_prime(p: int) -> None:
-    if p < 2:
-        raise ValueError(f"modulus must be >= 2, got {p}")
-    if p >= MAX_MODULUS:
-        raise ValueError(f"modulus must be below 2**32, got {p}")
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-
-
 class FieldSpec:
     """The prime field F_p.  Two specs are interchangeable iff p matches."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        _check_prime(p)
-        self.p = p
+        if not is_integer(p):
+            raise ValueError(f"modulus must be an integer, got {p!r}")
+        self.p = p = index(p)
+        if p < 2:
+            raise ValueError(f"modulus must be >= 2, got {p}")
+        if p >= MAX_MODULUS:
+            raise ValueError(f"modulus must be below 2**32, got {p}")
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
 
     def vector(self, values: Iterable[int]) -> "ModelVector":
         return ModelVector(self, values)
@@ -113,7 +118,8 @@ class ModelVector:
     __slots__ = ("field", "lanes", "length", "bound")
 
     def __init__(self, field: FieldSpec, values: Iterable[int]):
-        vals = tuple(int(v) % field.p for v in values)
+        p = field.p
+        vals = tuple([index(v) % p for v in values])
         if not vals:
             raise ValueError("vector must have length >= 1")
         self.field = field

@@ -34,6 +34,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from math import comb
+from operator import index
 from typing import Mapping, Optional
 
 from .errors import TooLargeError
@@ -110,7 +111,7 @@ class TinyInstance:
     def fixed_model_of(self, uid: int) -> int:
         if self.colluder_models is None:
             return 0
-        return int(self.colluder_models.get(uid, 0)) % self.params.field.p
+        return index(self.colluder_models.get(uid, 0)) % self.params.field.p
 
 
 @dataclass

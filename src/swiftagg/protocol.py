@@ -37,7 +37,6 @@ import hashlib
 import random
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -46,6 +45,7 @@ from .field import (
     FieldSpec,
     ModelVector,
     _join,
+    is_integer,
     lagrange_interpolate_at_zero,
     sample_noise,
     vec_add,
@@ -95,6 +95,9 @@ class ProtocolParams:
     field: FieldSpec
 
     def __post_init__(self):
+        for name in ("n", "t", "d", "model_len"):
+            if not is_integer(value := getattr(self, name)):
+                raise ValueError(f"{name}: must be an integer, got {value!r}")
         if self.t < 1:
             raise ValueError(f"t: must be >= 1, got {self.t}")
         if self.d < 0:
@@ -115,7 +118,7 @@ class ProtocolParams:
                 f"field: modulus {self.field.p} must exceed the group size {nu} "
                 "to provide distinct nonzero evaluation points"
             )
-        if self.t == 1:
+        if self.t == 1 and not _quiet:
             warnings.warn(
                 "t=1 is below the protocol's stated collusion range 2 <= t < n - d; "
                 "execution is still exact",
@@ -132,11 +135,19 @@ class ProtocolParams:
         return self.n // self.group_size
 
 
+# Set while ``_quiet_params`` builds: leaving ``warnings.catch_warnings()``
+# would clear every module's warning registry, so shown warnings would repeat.
+_quiet = False
+
+
 def _quiet_params(n, t, d, model_len, field) -> ProtocolParams:
     """``ProtocolParams`` for the package's own t = 1 instances, without the warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CollusionBoundWarning)
+    global _quiet
+    _quiet = True
+    try:
         return ProtocolParams(n, t, d, model_len, field)
+    finally:
+        _quiet = False
 
 
 def assign_groups(params: ProtocolParams, shuffle_seed: Optional[int] = None):
@@ -158,9 +169,9 @@ def _distinct_ids(ids) -> list:
 
 
 def _check_ids(ids, n: int, role: str, bound: str, cap: int) -> None:
-    """Every id an ``Integral`` other than ``bool`` in ``[1, n]``, and at most ``cap``."""
+    """Every id an integer (``is_integer``) in ``[1, n]``, and at most ``cap``."""
     for uid in ids:
-        if isinstance(uid, bool) or not (isinstance(uid, Integral) and 1 <= uid <= n):
+        if not (is_integer(uid) and 1 <= uid <= n):
             raise ValueError(f"{role} {uid!r} is not a user id in [1, {n}]")
     if len(ids) > cap:
         raise ValueError(f"{len(ids)} {role}s exceed the {bound}={cap}")

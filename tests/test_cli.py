@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from swiftagg import cli
 from swiftagg.cli import (
-    CONFIG_KEYS,
     MAX_SHARE_ENTRIES,
     RUN_KEYS,
     build_parser,
@@ -27,6 +26,7 @@ from swiftagg.cli import (
     run_experiments,
 )
 from swiftagg.errors import ConfigError
+from swiftagg.protocol import DropoutPlan
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -75,20 +75,20 @@ def test_motivating_run_record(capsys):
 
 
 def test_wrong_recovered_entry_fails_its_record(capsys, monkeypatch):
-    real_simulate = cli.simulate
+    real_execute = cli.execute_seeded
     calls = []
 
     def first_run_off_by_one(*args, **kwargs):
-        result = real_simulate(*args, **kwargs)
+        run, noise = real_execute(*args, **kwargs)
         calls.append(1)
         if len(calls) > 1:
-            return result
-        field = result.recovered.field
-        values = list(result.recovered.values)
+            return run, noise
+        field = run.recovered.field
+        values = list(run.recovered.values)
         values[-1] = (values[-1] + 1) % field.p
-        return result._replace(recovered=field.vector(values))
+        return run._replace(recovered=field.vector(values)), noise
 
-    monkeypatch.setattr(cli, "simulate", first_run_off_by_one)
+    monkeypatch.setattr(cli, "execute_seeded", first_run_off_by_one)
     code, out, _ = run_cli(
         capsys, "run", "--n", "12", "--t", "2", "--d", "1", "--drop", "7", "--reps", "2"
     )
@@ -114,7 +114,7 @@ def test_warning_only_for_an_accepted_command(capsys):
     # that never starts.
     for flags, error in (
         (["--drop", "9"], "drop: victim 9 is not a user id in [1, 6]"),
-        (["--adversary", "1", "2"], "adversary: 2 colluders exceed the collusion bound t=1"),
+        (["--drop", "1", "2"], "drop: 2 victims exceed the dropout bound d=1"),
     ):
         code, out, err = run_cli(capsys, "run", "--n", "6", "--t", "1", "--d", "1", *flags)
         assert (code, out, err) == (2, "", f"error: {error}\n")
@@ -138,7 +138,6 @@ def test_missing_required_field(capsys):
 def test_validation_paths(capsys):
     cases = [
         (["--n", "4", "--t", "1", "--d", "0", "--drop", "1"], "drop:"),
-        (["--n", "4", "--t", "1", "--d", "0", "--adversary", "1", "2"], "adversary:"),
         (["--n", "4", "--t", "1", "--d", "0", "--field", "6"], "field:"),
         (["--n", "4", "--t", "1", "--d", "0", "--drop-rate", "2.0"], "drop_rate:"),
         (["--n", "6", "--t", "1", "--d", "1", "--drop", "1", "--drop-rate", "0.5"], "drop_rate:"),
@@ -150,8 +149,8 @@ def test_validation_paths(capsys):
         (["--n", "4", "--t", "1", "--d", "0", "--field", "2"], "field:"),
         (["--n", "6", "--t", "1", "--d", "1", "--drop", "9"], "drop:"),
         (["--n", "6", "--t", "1", "--d", "1", "--drop", "1", "1"], "drop:"),
-        (["--n", "4", "--t", "1", "--d", "0", "--adversary", "0"], "adversary:"),
-        (["--n", "4", "--t", "1", "--d", "0", "--adversary", "0", "-1,0"], "adversary:"),
+        (["--n", "6", "--t", "1", "--d", "1", "--drop", "0"], "drop:"),
+        (["--n", "6", "--t", "1", "--d", "1", "--drop", "0", "-1,0"], "drop:"),
         (["--n", "4", "--t", "1", "--d", "0", "--drop", "-2,3"], "drop:"),
     ]
     for argv, needle in cases:
@@ -211,7 +210,7 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
         "drop=2\n"
         "seed=1\n"
         "model_len=2\n"
-        "server_curious=true\n"
+        "shuffle_groups=true\n"
     )
     code, out, _ = run_cli(capsys, "run", "--config", str(path))
     assert code == 0
@@ -243,6 +242,14 @@ def run_module(*argv):
         timeout=120,
     )
     return out, time.perf_counter() - start
+
+
+def test_config_file_that_cannot_be_opened_is_config_error(tmp_path, capsys):
+    # Budget: under 10 ms; OSError reaches the same branch as a bad decode.
+    for path in (tmp_path / "missing.cfg", tmp_path):
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: config: cannot read {path}: ")
 
 
 def test_config_file_that_is_not_utf8_is_config_error(tmp_path):
@@ -315,20 +322,19 @@ def test_config_file_bad_drop_rate(tmp_path, capsys):
     assert "drop_rate:" in err
 
 
-def test_duplicate_adversary_ids_rejected(capsys):
+def test_duplicate_drop_ids_rejected(capsys):
     code, out, err = run_cli(
-        capsys, "run", "--n", "6", "--t", "2", "--d", "0", "--adversary", "3", "3"
+        capsys, "run", "--n", "6", "--t", "1", "--d", "1", "--drop", "3", "3"
     )
     assert code == 2
     assert out == ""
-    assert "adversary: duplicate" in err
+    assert "drop: duplicate" in err
 
 
-def test_shuffle_and_adversary_flags_still_recover(capsys):
+def test_shuffle_and_drop_flags_still_recover(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--n", "12", "--t", "2", "--d", "1",
-        "--adversary", "3", "5", "--server-curious", "--shuffle-groups",
-        "--reps", "2",
+        "--drop", "5", "--shuffle-groups", "--reps", "2",
     )
     assert code == 0
     for line in out.strip().splitlines():
@@ -392,6 +398,9 @@ def test_table_subcommand(capsys):
     assert code == 0
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert rows[-1] == {"approach": "SwiftAgg", "server_comm": 30, "per_user_comm": 40}
+    code, out, _ = run_cli(capsys, "table", "--t", "2", "--d", "1")
+    assert code == 0
+    assert out == golden("cli_table.out")
 
 
 # ---------------------------------------------------------------------------
@@ -402,21 +411,21 @@ SHAPE = {"n": "12", "t": "2", "d": "1"}
 # A valid value of each key, away from its default, as a config line gives it.
 VALID_VALUES = {
     "n": "24", "t": "4", "d": "3", "model_len": "5", "field": "4294967291",
-    "seed": "7", "drop": "7", "drop_rate": "0.25", "adversary": "3,5",
-    "server_curious": "true", "reps": "2", "format": "csv", "shuffle_groups": "yes",
+    "seed": "7", "drop": "7", "drop_rate": "0.25", "reps": "2", "format": "csv",
+    "shuffle_groups": "yes",
 }
 # Booleans are --x/--no-x flags, so only a config line can give a bad one.
 BAD_VALUES = [
     ("n", "x"), ("n", ""), ("t", "2.5"), ("d", "one"), ("model_len", "1e3"),
     ("field", "p"), ("seed", "seven"), ("drop", "a,b"), ("drop", "1;2"),
-    ("drop_rate", "abc"), ("adversary", "x"), ("reps", "two"), ("reps", ""),
+    ("drop", "x"), ("drop_rate", "abc"), ("reps", "two"), ("reps", ""),
     ("format", "xml"), ("format", ""),
 ]
 
 
 def flag_argv(key, text):
     flag = "--" + key.replace("_", "-")
-    if key in ("server_curious", "shuffle_groups"):
+    if key == "shuffle_groups":
         return [flag if text in ("true", "yes") else "--no-" + flag[2:]]
     return [flag, text]
 
@@ -430,9 +439,9 @@ def both_ways(tmp_path, key, text):
 
 
 def test_value_tables_cover_every_run_key():
-    assert set(VALID_VALUES) == set(RUN_KEYS) == CONFIG_KEYS
-    booleans = {"server_curious", "shuffle_groups"}
-    assert {key for key, _ in BAD_VALUES} == set(RUN_KEYS) - booleans
+    assert len(RUN_KEYS) == 11
+    assert set(VALID_VALUES) == set(RUN_KEYS)
+    assert {key for key, _ in BAD_VALUES} == set(RUN_KEYS) - {"shuffle_groups"}
 
 
 @pytest.mark.parametrize("key", sorted(RUN_KEYS))
@@ -453,22 +462,18 @@ def test_bad_value_reads_the_same_from_flag_and_config_line(tmp_path, capsys, ke
 
 def test_list_flag_tokens_may_hold_commas(tmp_path):
     path = tmp_path / "drop.cfg"
-    path.write_text("drop=1,5\nadversary=2,3\n")
+    path.write_text("drop=1,5\n")
     shape = ["--n", "10", "--t", "2", "--d", "2"]
     configs = [
         build_run_config(parse_run_args(*shape, *rest))
-        for rest in (
-            ["--drop", "1", "5", "--adversary", "2", "3"],
-            ["--drop", "1,5", "--adversary", "2,3"],
-            ["--config", str(path)],
-        )
+        for rest in (["--drop", "1", "5"], ["--drop", "1,5"], ["--config", str(path)])
     ]
-    assert configs[0].drop == (1, 5)
-    assert configs[0].adversary.colluders == {2, 3}
+    assert configs[0].plan == DropoutPlan.uniform([1, 5])
+    assert all(list(config.plan.timings) == [1, 5] for config in configs)
     assert all(config == configs[0] for config in configs)
 
 
-@pytest.mark.parametrize("key", ["drop", "adversary", "drop_rate"])
+@pytest.mark.parametrize("key", ["drop", "drop_rate"])
 def test_empty_list_or_rate_means_none_from_either_place(tmp_path, key):
     by_flag, by_file = both_ways(tmp_path, key, "")
     plain = build_run_config(parse_run_args("--n", "12", "--t", "2", "--d", "1"))
@@ -486,14 +491,43 @@ def test_table_reads_flags_like_run(capsys):
 
 
 def test_abbreviated_list_flag_names_its_key(capsys):
-    # argparse takes any unambiguous prefix of --adversary, and --flag=value.
-    for flag in (["--adv", "0"], ["--a", "0"], ["--adversary=0"]):
-        code, out, err = run_cli(
-            capsys, "run", "--n", "12", "--t", "2", "--d", "1", *flag, "-1,0"
-        )
+    # --drop=value names drop too.  Every shorter prefix of --drop also begins
+    # --drop-rate, so argparse names both keys before any leftover is read.
+    shape = ["run", "--n", "12", "--t", "2", "--d", "1"]
+    for flag in (["--drop", "0"], ["--drop=0"]):
+        code, out, err = run_cli(capsys, *shape, *flag, "-1,0")
         assert code == 2, flag
         assert out == ""
-        assert err == "error: adversary: expected comma-separated ids, got '-1,0'\n", flag
+        assert err == "error: drop: expected comma-separated ids, got '-1,0'\n", flag
+    for flag in ("--dr", "--dro"):
+        with pytest.raises(SystemExit) as exc:
+            main([*shape, flag, "0", "-1,0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: ambiguous option: {flag} could match --drop, --drop-rate" in err
+    # Only the drop list names its key: after --drop-rate the value is leftover.
+    with pytest.raises(SystemExit) as exc:
+        main([*shape, "--drop-rate", "0.1", "-1,0"])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: -1,0" in capsys.readouterr().err
+
+
+def test_removed_adversary_keys_are_unknown(tmp_path, capsys):
+    # Budget: under 10 ms.  Adversary views come from simulate(...).view and
+    # swiftagg privacy; run reports recovery and loads only.
+    shape = ["run", "--n", "12", "--t", "2", "--d", "1"]
+    for flags in (["--adversary", "1"], ["--server-curious"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*shape, *flags])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(flags)}\n" in capsys.readouterr().err
+    path = tmp_path / "old.cfg"
+    for line in ("adversary=1", "server_curious=true"):
+        path.write_text(f"n=12\nt=2\nd=1\n{line}\n")
+        key = line.split("=")[0]
+        assert run_cli(capsys, "run", "--config", str(path)) == (
+            2, "", f"error: config: line 4: unknown key {key!r}\n"
+        )
 
 
 def test_unknown_flag_keeps_argparse_message(capsys):
@@ -542,13 +576,13 @@ def run_arguments(draw, config_path):
     def value(key):
         return draw(fuzz_reps if key == "reps" else fuzz_value)
 
-    keys = st.lists(st.sampled_from(sorted(CONFIG_KEYS)), unique=True, max_size=2)
+    keys = st.lists(st.sampled_from(sorted(RUN_KEYS)), unique=True, max_size=2)
     argv = ["run", *draw(st.sampled_from(VALID_SHAPES)), "--config", config_path]
     for key in draw(keys):
         flag = "--" + key.replace("_", "-")
-        if key in ("server_curious", "shuffle_groups"):
+        if key == "shuffle_groups":
             argv.append(draw(st.sampled_from([flag, "--no-" + flag[2:]])))
-        elif key in ("drop", "adversary"):
+        elif key == "drop":
             argv += [flag, *draw(st.lists(fuzz_value, min_size=1, max_size=2))]
         else:
             argv += [flag, value(key)]
@@ -584,4 +618,4 @@ def test_fuzzed_arguments_exit_cleanly(pick):
         (line,) = [line for line in err.getvalue().splitlines() if "error: " in line]
         named = re.search(r"error: (?:argument --)?([a-z_-]+):", line)
         assert named, line
-        assert named.group(1).replace("-", "_") in CONFIG_KEYS | {"config"}, line
+        assert named.group(1).replace("-", "_") in {*RUN_KEYS, "config"}, line

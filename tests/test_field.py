@@ -32,6 +32,9 @@ def test_modulus_must_be_prime():
             FieldSpec(bad)
     for good in PRIMES:
         assert FieldSpec(good).p == good
+    for bad, shown in ((101.0, "101.0"), (True, "True"), ("101", "'101'")):
+        with pytest.raises(ValueError, match=f"^modulus must be an integer, got {shown}$"):
+            FieldSpec(bad)
 
 
 def test_is_prime_matches_a_sieve_below_200000():
@@ -202,3 +205,7 @@ def test_vector_entries_reduced_and_immutable():
     assert v.values[1] == 6
     with pytest.raises(ValueError):
         ModelVector(f, [])
+    # Entries are integers: a float is not truncated to one.
+    for bad in ([1.7, 2.2], [2.0], ["3"]):
+        with pytest.raises(TypeError):
+            f.vector(bad)

@@ -89,6 +89,16 @@ def test_fixed_models_only_for_colluders():
             AdversaryConfig.server_only(),
             colluder_models={1: 3},
         )
+    # A fixed model is an integer: 2.9 is not read as model 2.
+    instance = TinyInstance(
+        make_params(4, 1, 0, p=3),
+        DropoutPlan.none(),
+        AdversaryConfig.of([3]),
+        colluder_models={3: 2.9},
+    )
+    with pytest.raises(TypeError):
+        instance.fixed_model_of(3)
+    assert instance.fixed_model_of(1) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,11 @@ column sums, the exact set of null slots and the exact load counts.
 
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -84,11 +88,60 @@ def test_params_reject_bad_bounds():
         make_params(4, 0, 1)
     with pytest.raises(ValueError):
         make_params(4, 1, -1)
+    # Integers only: a float or bool is not read as the integer it equals.
+    f = FieldSpec(101)
+    for args, message in (
+        ((12.0, 2, 1, 3, f), "n: must be an integer, got 12.0"),
+        ((12, True, 1, 3, f), "t: must be an integer, got True"),
+        ((12, 2, 1.0, 3, f), "d: must be an integer, got 1.0"),
+        ((12, 2, 1, True, f), "model_len: must be an integer, got True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProtocolParams(*args)
+    # Integer inputs keep their messages word for word.
+    with pytest.raises(ValueError, match=r"^t: must be >= 1, got 0$"):
+        ProtocolParams(4, 0, 1, 1, f)
+
+
+def test_numpy_integers_are_integers():
+    np = pytest.importorskip("numpy")
+    spec = FieldSpec(np.int64(101))
+    assert type(spec.p) is int and spec == FieldSpec(101)
+    params = ProtocolParams(np.int64(12), np.int32(2), np.int64(1), np.int64(3), spec)
+    assert params.group_size == 4
+    assert spec.vector(np.array([9, -1, 205])).values == (9, 100, 3)
+    with pytest.raises(ValueError, match=r"^n: must be an integer, got "):
+        ProtocolParams(np.float64(12), 2, 1, 3, spec)
+    with pytest.raises(ValueError, match=r"^modulus must be an integer, got "):
+        FieldSpec(np.float64(101))
+    with pytest.raises(TypeError):
+        spec.vector(np.array([1.5]))
 
 
 def test_t_equal_one_warns():
     with pytest.warns(CollusionBoundWarning):
         ProtocolParams(6, 1, 1, 1, FieldSpec(101))
+
+
+def test_oracle_runs_keep_the_warning_once_per_call_site():
+    # Budget: under 1 s.  Under the default filters one call site warns once,
+    # however many oracle runs build the package's own t = 1 params between,
+    # and a new call site after them still warns.
+    loop = (
+        "from swiftagg import FieldSpec, ProtocolParams, enumerate_views\n"
+        "from swiftagg.privacy_oracle import default_instances\n"
+        "for _ in range(4):\n"
+        "    ProtocolParams(4, 1, 0, 1, FieldSpec(5))\n"
+        "    enumerate_views(default_instances()[0])\n"
+        "ProtocolParams(4, 1, 0, 1, FieldSpec(5))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", loop], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.count("CollusionBoundWarning") == 2, out.stderr
 
 
 def test_assign_groups_canonical_layout():
